@@ -26,7 +26,6 @@ from .graph import (  # noqa: E402
     BuildError,
     FinalizedGraph,
     Graph,
-    KEY,
     NodeHandle,
     RowGrads,
     RowTable,
@@ -52,7 +51,6 @@ __all__ = [
     "FinalizedGraph",
     "NodeHandle",
     "SubGraphRef",
-    "KEY",
     "TableShape",
     "RowTable",
     "RowGrads",

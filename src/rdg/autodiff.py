@@ -2,15 +2,24 @@
 
 `differentiate` clones the finalized forward graph, then sweeps it backwards
 emitting vector-Jacobian products. Each SubGraph F gets a synthesized
-gradient SubGraph; its inputs are F's upstream output-gradients plus F's
-invocation key, and its outputs are gradients for F's inputs followed by
-gradients for F's captures. A recursive Invoke in F is mirrored by a
-recursive Invoke of F's gradient at the same position, fed with the child's
-key (parent key extended by the call-site id). Forward values a gradient
-needs are wired directly when they live in the same frame, and through the
-per-run value cache otherwise: the forward clone gains CacheWrite nodes for
-exactly the values some gradient reads, and every gradient body reads them
-back keyed by the invocation key it was handed.
+gradient SubGraph F__grad that mirrors F's signature: its inputs are the
+gradients of F's outputs, and its outputs are the gradients of F's inputs,
+followed, for a body nested in another body, by the gradients of the nodes
+of enclosing bodies that F captures. A recursive Invoke in F is mirrored by
+a recursive Invoke of F__grad at the same position, and a gradient frame
+runs under the invocation key of the forward frame it mirrors. Forward
+values a gradient needs are wired directly when they live in the same frame,
+and through the per-run value cache otherwise: the forward clone gains
+CacheWrite nodes for exactly the values some gradient reads, and every
+gradient body reads them back under its own key.
+
+Gradients of top-level nodes do not travel back through return values.
+Every contribution to a top-level node that a body captures (a parameter,
+say), and every contribution to a `wrt` node, goes to the instance's
+gradient sink through a `sink_add` node. A top-level `grad_out` node reads
+the sum, or zeros when nothing arrived, once every top-level gradient call
+has returned. No gradient is emitted toward a top-level parameter,
+placeholder or constant outside `wrt`, nor toward its capture proxies.
 
 Cond gradients route through the recorded taken branch only; the untaken
 branch's parameters receive no contribution, which materializes as exact
@@ -26,7 +35,6 @@ from .graph import (
     CondGradPayload,
     FinalizedGraph,
     Graph,
-    KEY,
     NodeHandle,
     Shape,
     SubGraphRef,
@@ -41,8 +49,6 @@ class GradientMap:
     """Where to find gradients in the extended graph."""
 
     loss: NodeHandle
-    node_grad: dict = field(default_factory=dict)  # forward node id -> grad node id
-    subgraph_grad: dict = field(default_factory=dict)  # forward name -> gradient name
     param_grads: dict = field(default_factory=dict)  # wrt name -> grad NodeHandle
     param_order: list = field(default_factory=list)
 
@@ -76,12 +82,10 @@ def _clone(fg: FinalizedGraph) -> tuple[Graph, dict]:
         d = src_top.registry[name]
         parent_clone = gmap[id(d.body.parent)]
         body = Graph(parent=parent_clone, label=name)
-        body.is_grad = d.body.is_grad
         gmap[id(d.body)] = body
         _clone_nodes(d.body, body, gmap)
         body.outputs = list(d.body.outputs)
         top.registry[name].body = body
-        top.registry[name].is_grad = body.is_grad
     return top, gmap
 
 
@@ -89,8 +93,7 @@ def _clone_nodes(src: Graph, dst: Graph, gmap: dict):
     for n in src.nodes:
         kind, payload, inputs = n.kind, n.payload, list(n.inputs)
         if kind == "invoke" and isinstance(payload, tuple):
-            name, ncaps = payload
-            payload = name
+            payload, ncaps = payload[0], payload[1]
             if ncaps:
                 inputs = inputs[: len(inputs) - ncaps]
         elif kind == "cond" and len(payload) == 5:
@@ -112,36 +115,29 @@ def _clone_nodes(src: Graph, dst: Graph, gmap: dict):
             dst.arg_ids.append(h.id)
 
 
+def _inner_captures(body: Graph) -> list[NodeHandle]:
+    """The nodes of enclosing bodies (not the top level) that `body` captures."""
+    return [c for c in body.capture_order if c.graph.parent is not None]
+
+
 class _Context:
     """One graph being swept backwards: the top level or one SubGraph body."""
 
-    def __init__(self, synth: "_Synth", fwd: Graph, out: Graph, key_node):
+    def __init__(self, synth: "_Synth", fwd: Graph, out: Graph):
         self.synth = synth
         self.fwd = fwd  # graph whose nodes we differentiate
         self.out = out  # graph receiving emitted gradient nodes
-        self._key = key_node  # handle of the invocation-key value, or None (top)
         self.adjoint: dict[int, list[NodeHandle]] = {}
         self.bucket: dict[int, dict[int, NodeHandle]] = {}  # invoke id -> slot -> grad
-        self.cap_out: dict[int, list[NodeHandle]] = {}
+        self.cap_out: dict[int, list[NodeHandle]] = {}  # inner capture index -> grads
         self._reads: dict[int, NodeHandle] = {}
 
     # -- context plumbing ------------------------------------------------
 
     def emit(self, kind, inputs=(), payload=None, shape=None) -> NodeHandle:
-        before = len(self.out.nodes)
         h = self.out.add_node(kind, inputs, payload=payload, shape=shape)
-        for node in self.out.nodes[before:]:
-            node.grad_flag = True
+        self.out.nodes[h.id].grad_flag = True
         return h
-
-    def flag_from(self, start: int):
-        for node in self.out.nodes[start:]:
-            node.grad_flag = True
-
-    def key_node(self) -> NodeHandle:
-        if self._key is None:
-            self._key = self.out.constant(())
-        return self._key
 
     def val(self, nid: int) -> NodeHandle:
         """Handle for the forward value of node `nid` of self.fwd."""
@@ -158,44 +154,56 @@ class _Context:
             return self.emit("const", (), payload=node.payload, shape=node.shape)
         h = self._reads.get(nid)
         if h is None:
-            h = self.emit(
-                "cache_read", (self.key_node(),), payload=(nid, node.shape)
-            )
-            self._reads[nid] = h
+            h = self._reads[nid] = self.emit("cache_read", payload=(nid, node.shape))
             self.synth.needed.setdefault(self.fwd.label, set()).add(nid)
         return h
 
     def add_adjoint(self, nid: int, h: NodeHandle):
-        self.adjoint.setdefault(nid, []).append(h)
+        """Record a contribution to node `nid`'s gradient. One to a top-level
+        node (a `wrt` node, or the top-level node a capture proxy stands
+        for) goes to the sink instead."""
+        node = self.fwd.nodes[nid]
+        if self.fwd.parent is None:
+            target = nid if nid in self.synth.wrt else None
+        else:
+            top = node.kind == "capture" and node.payload.graph.parent is None
+            target = node.payload.id if top else None
+        if target is None:
+            self.adjoint.setdefault(nid, []).append(h)
+        else:
+            self.synth.sunk.add(target)
+            s = self.emit("sink_add", (h,), payload=target)
+            if self.fwd.parent is None:
+                self.synth.waits.append(s)
 
     def want(self, nid: int) -> bool:
-        """False for nodes whose adjoint could never be used: skips emitting it."""
-        return self.fwd.nodes[nid].kind not in ("const", "none_const")
+        """False for nodes whose gradient no one wants: constants, and
+        top-level parameters and placeholders outside `wrt`."""
+        node = self.fwd.nodes[nid]
+        if node.kind == "capture":
+            node = node.payload.graph.nodes[node.payload.id]
+        if node.kind in ("parameter", "placeholder"):
+            return node.id in self.synth.wrt
+        return node.kind not in ("const", "none_const")
 
     def route_capture(self, c: NodeHandle, h: NodeHandle):
+        """Route the gradient of captured enclosing-body node `c`."""
         if c.graph is self.fwd:
-            self.add_adjoint(c.id, h)
-            return
-        if self.fwd is self.out:
-            raise BuildError(
-                f"capture of node {c.id} in {c.graph.label!r} cannot receive a "
-                "gradient from the top level"
-            )
-        for j, outer in enumerate(self.fwd.capture_order):
-            if outer == c:
-                self.cap_out.setdefault(j, []).append(h)
-                return
-        raise BuildError(
-            f"capture closure is missing {c.graph.label}:{c.id} in {self.fwd.label!r}"
-        )
+            if self.want(c.id):
+                self.add_adjoint(c.id, h)
+        else:
+            j = _inner_captures(self.fwd).index(c)
+            self.cap_out.setdefault(j, []).append(h)
 
-    def combined(self, nid: int):
-        parts = self.adjoint.get(nid)
+    def total(self, parts):
         if not parts:
             return None
         if len(parts) == 1:
             return parts[0]
         return self.emit("grad_accum", tuple(parts))
+
+    def combined(self, nid: int):
+        return self.total(self.adjoint.get(nid))
 
     def grad_or_none(self, h, shape) -> NodeHandle:
         if h is not None:
@@ -206,52 +214,45 @@ class _Context:
 class _Synth:
     """Session state for one differentiate() call."""
 
-    def __init__(self, top: Graph):
+    def __init__(self, top: Graph, wrt: set[int]):
         self.top = top
         self.registry = top.registry
+        self.wrt = wrt  # top-level node ids
         self.gsub: dict[str, SubGraphRef] = {}
         self.needed: dict[str, set[int]] = {}
+        self.sunk: set[int] = set()  # top-level ids that have sink_add nodes
+        # top-level gradient calls and sink adds: sink reads wait for them
+        self.waits: list[NodeHandle] = []
 
     def gradient_subgraph(self, name: str) -> SubGraphRef:
         ref = self.gsub.get(name)
         if ref is not None:
             return ref
         d = self.registry[name]
-        if d.body is None:
-            raise BuildError(f"cannot differentiate undefined subgraph {name!r}")
         gname = f"{name}__grad"
         while gname in self.registry:
             gname += "_"
-        in_shapes = list(d.out_shapes) + [KEY]
+        inner = _inner_captures(d.body)
         out_shapes = [d.body.nodes[i].shape for i in d.body.arg_ids]
-        out_shapes += [c.graph.nodes[c.id].shape for c in d.body.capture_order]
-        ref = self.top.declare_subgraph(gname, in_shapes, out_shapes)
+        out_shapes += [c.graph.nodes[c.id].shape for c in inner]
+        ref = self.top.declare_subgraph(gname, d.out_shapes, out_shapes)
         self.gsub[name] = ref  # registered before the body: recursion closes here
 
         body = self.top.body(ref)
         body.is_grad = True
-        ctx = _Context(self, d.body, body, body.args[-1])
+        ctx = _Context(self, d.body, body)
         for j, out_id in enumerate(d.body.outputs):
-            ctx.add_adjoint(out_id, body.args[j])
+            if ctx.want(out_id):
+                ctx.add_adjoint(out_id, body.args[j])
         _sweep(ctx)
 
-        outs = []
-        for slot, arg_id in enumerate(d.body.arg_ids):
-            h = ctx.combined(arg_id)
-            outs.append(ctx.grad_or_none(h, d.body.nodes[arg_id].shape))
-        for j, c in enumerate(d.body.capture_order):
-            parts = list(ctx.cap_out.get(j, ()))
+        outs = [
+            ctx.grad_or_none(ctx.combined(i), d.body.nodes[i].shape) for i in d.body.arg_ids
+        ]
+        for j, c in enumerate(inner):
             proxy = d.body.capture_map[(id(c.graph), c.id)]
-            direct = ctx.adjoint.get(proxy)
-            if direct:
-                parts.extend(direct)
-            if not parts:
-                h = None
-            elif len(parts) == 1:
-                h = parts[0]
-            else:
-                h = ctx.emit("grad_accum", tuple(parts))
-            outs.append(ctx.grad_or_none(h, c.graph.nodes[c.id].shape))
+            parts = ctx.cap_out.get(j, []) + ctx.adjoint.get(proxy, [])
+            outs.append(ctx.grad_or_none(ctx.total(parts), c.graph.nodes[c.id].shape))
         body.set_outputs(outs)
         self.top.define_subgraph(ref, body)
         return ref
@@ -297,9 +298,15 @@ def _sweep_order(ctx: _Context) -> list[int]:
 
 def _sweep(ctx: _Context):
     fwd = ctx.fwd
+    synth = ctx.synth
     for nid in reversed(_sweep_order(ctx)):
         node = fwd.nodes[nid]
         kind = node.kind
+        if fwd.parent is None and nid in synth.sunk and nid not in synth.wrt:
+            # a computed top-level node that bodies captured: its sink entry
+            # is complete once every gradient call emitted so far returned
+            sink = ctx.emit("grad_out", tuple(synth.waits), payload=(nid, node.shape))
+            ctx.add_adjoint(nid, sink)
         if kind == "select":
             d = ctx.combined(nid)
             if d is not None:
@@ -334,7 +341,6 @@ def _vjp_node(ctx: _Context, node, d: NodeHandle):
         "none_const",
         "input",
         "capture",
-        "key_extend",
         "after",
     ):
         return
@@ -420,54 +426,56 @@ def _vjp_node(ctx: _Context, node, d: NodeHandle):
     raise BuildError(f"no derivative rule for node kind {kind!r}")
 
 
-def _douts_for(ctx: _Context, node, out_shapes) -> list[NodeHandle]:
+def _upstream(ctx: _Context, node, out_shapes) -> list[NodeHandle] | None:
+    """The gradients of a call's outputs, or None if all are None.
+
+    A top-level gradient call has nothing else ordering it after its forward
+    call, so one of its upstream gradients passes through an `after` node
+    that waits for the forward value. A returned call implies its whole
+    frame tree completed, cached values included.
+    """
     if len(out_shapes) == 1:
-        return [ctx.grad_or_none(ctx.combined(node.id), out_shapes[0])]
-    slot_grads = ctx.bucket.get(node.id, {})
-    return [
-        ctx.grad_or_none(slot_grads.get(k), s) for k, s in enumerate(out_shapes)
-    ]
-
-
-def _any_real(douts, ctx) -> bool:
-    return any(ctx.out.nodes[h.id].kind != "none_const" for h in douts)
+        douts = [ctx.grad_or_none(ctx.combined(node.id), out_shapes[0])]
+    else:
+        slot_grads = ctx.bucket.get(node.id, {})
+        douts = [ctx.grad_or_none(slot_grads.get(k), s) for k, s in enumerate(out_shapes)]
+    real = [k for k, h in enumerate(douts) if ctx.out.nodes[h.id].kind != "none_const"]
+    if not real:
+        return None
+    if ctx.fwd is ctx.out:
+        k = real[0]
+        douts[k] = ctx.emit("after", (douts[k], NodeHandle(ctx.fwd, node.id)))
+    return douts
 
 
 def _vjp_invoke(ctx: _Context, node):
     name = node.payload
     d = ctx.synth.registry[name]
-    douts = _douts_for(ctx, node, d.out_shapes)
-    if not _any_real(douts, ctx):
+    douts = _upstream(ctx, node, d.out_shapes)
+    if douts is None:
         return
     gref = ctx.synth.gradient_subgraph(name)
-    key = ctx.emit("key_extend", (ctx.key_node(),), payload=node.id)
+    gouts = ctx.out.invoke(gref, douts, site=node.id)
     if ctx.fwd is ctx.out:
-        # Top-level backward call: nothing else orders it after the forward
-        # call, so make its key wait for the forward value. A returned call
-        # implies its whole frame tree completed, cached values included.
-        key = ctx.emit("after", (key, NodeHandle(ctx.fwd, node.id)))
-    before = len(ctx.out.nodes)
-    gouts = ctx.out.invoke(gref, [*douts, key])
-    ctx.flag_from(before)
-    n_args = len(d.in_shapes)
+        ctx.synth.waits.append(gouts[0])  # settles once the call returned
     for i, arg in enumerate(node.inputs):
-        ctx.add_adjoint(arg, gouts[i])
-    caps = ctx.synth.registry[name].body.capture_order
-    for j, c in enumerate(caps):
-        ctx.route_capture(c, gouts[n_args + j])
+        if ctx.want(arg):
+            ctx.add_adjoint(arg, gouts[i])
+    for j, c in enumerate(_inner_captures(d.body)):
+        ctx.route_capture(c, gouts[len(node.inputs) + j])
 
 
 def _vjp_cond(ctx: _Context, node):
     tname, ename = node.payload
     tdef = ctx.synth.registry[tname]
     edef = ctx.synth.registry[ename]
-    douts = _douts_for(ctx, node, tdef.out_shapes)
-    if not _any_real(douts, ctx):
+    douts = _upstream(ctx, node, tdef.out_shapes)
+    if douts is None:
         return
     g_then = ctx.synth.gradient_subgraph(tname)
     g_else = ctx.synth.gradient_subgraph(ename)
-    caps_t = tdef.body.capture_order
-    caps_e = edef.body.capture_order
+    caps_t = _inner_captures(tdef.body)
+    caps_e = _inner_captures(edef.body)
     n_args = len(tdef.in_shapes)
     n_union = n_args + len(caps_t) + len(caps_e)
     then_slots = tuple(range(n_args + len(caps_t)))
@@ -476,8 +484,7 @@ def _vjp_cond(ctx: _Context, node):
     )
     arg_ids = node.inputs[1:]  # input 0 is the predicate: no gradient
     union_shapes = [tdef.body.nodes[i].shape for i in tdef.body.arg_ids]
-    union_shapes += [c.graph.nodes[c.id].shape for c in caps_t]
-    union_shapes += [c.graph.nodes[c.id].shape for c in caps_e]
+    union_shapes += [c.graph.nodes[c.id].shape for c in caps_t + caps_e]
     shape = union_shapes[0] if n_union == 1 else TupleShape(tuple(union_shapes))
     payload = CondGradPayload(
         cond_site=node.id,
@@ -489,22 +496,18 @@ def _vjp_cond(ctx: _Context, node):
         then_slots=then_slots,
         else_slots=else_slots,
     )
-    key = ctx.key_node()
+    cg = ctx.emit("cond_grad", douts, payload=payload, shape=shape)
     if ctx.fwd is ctx.out:
-        key = ctx.emit("after", (key, NodeHandle(ctx.fwd, node.id)))
-    cg = ctx.emit(
-        "cond_grad", (*douts, key), payload=payload, shape=shape
-    )
+        ctx.synth.waits.append(cg)
     if n_union == 1:
         slots = [cg]
     else:
         slots = [ctx.emit("select", (cg,), payload=k) for k in range(n_union)]
     for i, arg in enumerate(arg_ids):
-        ctx.add_adjoint(arg, slots[i])
-    for j, c in enumerate(caps_t):
+        if ctx.want(arg):
+            ctx.add_adjoint(arg, slots[i])
+    for j, c in enumerate(caps_t + caps_e):
         ctx.route_capture(c, slots[n_args + j])
-    for j, c in enumerate(caps_e):
-        ctx.route_capture(c, slots[n_args + len(caps_t) + j])
 
 
 def differentiate(
@@ -533,8 +536,8 @@ def differentiate(
 
     top, _gmap = _clone(fg)
     top.record_branches = True
-    synth = _Synth(top)
-    ctx = _Context(synth, top, top, None)
+    synth = _Synth(top, {w.id for w in wrt})
+    ctx = _Context(synth, top, top)
     seed = ctx.emit("const", (), payload=Tensor.scalar(1.0), shape=Shape(1, 1))
     ctx.add_adjoint(loss.id, seed)
     _sweep(ctx)
@@ -542,16 +545,9 @@ def differentiate(
     gm = GradientMap(loss=NodeHandle(top, loss.id))
     for w in wrt:
         name = top.nodes[w.id].payload
-        parts = ctx.adjoint.get(w.id)
-        if parts:
-            acc = ctx.emit("grad_accum", tuple(parts))
-        else:
-            acc = ctx.emit("none_const", (), shape=top.nodes[w.id].shape)
-        gout = ctx.emit("grad_out", (acc,))
-        gm.node_grad[w.id] = gout.id
-        gm.param_grads[name] = gout
+        payload = (w.id, top.nodes[w.id].shape)
+        gm.param_grads[name] = ctx.emit("grad_out", tuple(synth.waits), payload=payload)
         gm.param_order.append(name)
-    gm.subgraph_grad = {name: ref.name for name, ref in synth.gsub.items()}
 
     for name, ids in synth.needed.items():
         body = top.registry[name].body

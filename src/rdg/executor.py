@@ -36,8 +36,16 @@ Invoke and Cond never block: they create child frames whose source nodes
 join the next round, and register the parent node as the child's return
 slot. Frames form a tree through parent pointers, and each dynamic
 invocation is identified by an invocation key — the path of call-site node
-ids from the top frame — which also keys the write-once value cache that
-pairs forward activations with their backward readers.
+ids from the top frame. A gradient frame runs under the key of the forward
+frame it mirrors, so the write-once value cache that pairs forward
+activations with their backward readers, and the record of which branch a
+cond took, are both read under the reading frame's own key.
+
+Each instance also holds a gradient sink: `sink_add` nodes add every
+gradient contribution to a top-level node (a parameter a body captures, say)
+to the instance's entry for that node as the contribution settles, in the
+scheduler's order, and a top-level `grad_out` node reads the entry once the
+gradient calls it waits on have returned.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from queue import Empty, SimpleQueue
 import numpy as np
 
 from .graph import FinalizedGraph, NodeHandle, Shape
-from .kernels import CONTROL_KINDS
+from .kernels import CONTROL_KINDS, add_grads
 from .tensor import Tensor
 
 _PENDING = object()
@@ -78,7 +86,6 @@ class ExecutionError(RuntimeError):
 class RunOptions:
     threads: int = 1
     max_recursion_depth: int = 512
-    seed: int = 0
     debug: bool = False
     instrument: bool = False
     trace: bool = False
@@ -103,8 +110,12 @@ class RunResult:
     trace: list = field(default_factory=list)
 
 
-def _key_str(key: tuple) -> str:
-    return "/".join(str(i) for i in key) if key else "-"
+def _key_str(key: tuple, full: bool = False) -> str:
+    """The call-site path of `key`; unless `full`, a key of more than 16 ids
+    keeps its first and last 8 and gives its depth."""
+    if len(key) > 16 and not full:
+        return f"{_key_str(key[:8])}/.../{_key_str(key[-8:])} (depth {len(key)})"
+    return "/".join([str(i) for i in key]) if key else "-"
 
 
 class ValueCache:
@@ -123,17 +134,14 @@ class ValueCache:
         cell = [value]
         existing = self._d.setdefault((key, node, tag), cell)
         if existing is not cell:
-            raise ExecutionError(
-                f"duplicate cache write for node {node} ({tag}) at key {_key_str(key)}"
-            )
+            raise ExecutionError(f"duplicate cache write for node {node} ({tag})")
 
     def read(self, key: tuple, node: int, tag: str):
         try:
             return self._d[(key, node, tag)][0]
         except KeyError:
             raise ExecutionError(
-                f"backward before forward: no cached {tag} for node {node} "
-                f"at key {_key_str(key)}"
+                f"backward before forward: no cached {tag} for node {node}"
             ) from None
 
     def __len__(self):
@@ -141,12 +149,16 @@ class ValueCache:
 
 
 class _Instance:
-    """One fed instance of a run: its value cache, counts and frame templates."""
+    """One fed instance of a run: its value cache, gradient sink, counts and
+    frame templates."""
 
-    __slots__ = ("cache", "frames", "fetch_remaining", "templates")
+    __slots__ = ("cache", "sink", "frames", "fetch_remaining", "templates")
 
     def __init__(self):
         self.cache = ValueCache()
+        # top-level node id -> the sum of the gradient contributions so far;
+        # a dense sum is a private array, added to in place
+        self.sink = {}
         # body -> values a new frame starts from: constants and the
         # instance's top-level captures set, everything else pending
         self.templates = {}
@@ -223,7 +235,7 @@ class _RunState:
     def record(self, wid: int, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
-        rows = [(ts, wid, _key_str(f.key), nid, label) for f in frames]
+        rows = [(ts, wid, _key_str(f.key, full=True), nid, label) for f in frames]
         with self.lock:
             self.trace.extend(rows)
 
@@ -319,13 +331,13 @@ def _frame_value(f: _Frame):
     return value
 
 
-def _spawn(state: _RunState, name: str, parents, nid: int, ids, keys=None, mapper=None):
+def _spawn(state: _RunState, name: str, parents, nid: int, ids, site: int, mapper=None):
     """Create one child frame of `name` per parent, called from node `nid`.
 
-    The child's arguments are the parent's values at node ids `ids`; a None
-    id takes the parent's entry in `keys` instead (the replayed invocation
-    key of a gradient cond). Captures of top-level nodes hold one value per
-    instance, so each instance keeps a template per body with those set.
+    The child's arguments are the parent's values at node ids `ids`, and its
+    invocation key is the parent's plus `site`. Captures of top-level nodes
+    hold one value per instance, so each instance keeps a template per body
+    with those set.
     """
     body = state.g.bodies[name]
     slots = body.arg_slots
@@ -344,13 +356,11 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, keys=None, mappe
         (shared if body.shared[slot] else own).append((slot, i))
     limit = state.opts.max_recursion_depth
     children = []
-    for j, parent in enumerate(parents):
-        key = parent.key + (nid,)
+    for parent in parents:
+        key = parent.key + (site,)
         if len(key) > limit:
             state.fail(
-                ExecutionError(
-                    f"recursion depth {len(key)} exceeds limit {limit} at key {_key_str(key)}"
-                ),
+                ExecutionError(f"recursion depth {len(key)} exceeds limit {limit}"),
                 parent, nid,
             )
             return
@@ -363,7 +373,7 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, keys=None, mappe
                 template[slot] = pvals[i]
         values = template.copy()
         for slot, i in own:
-            values[slot] = pvals[i] if i is not None else keys[j]
+            values[slot] = pvals[i]
         children.append(_Frame(body, key, values, parent, nid, mapper, inst))
         inst.frames[name] = inst.frames.get(name, 0) + 1
     ready = state.ready
@@ -379,7 +389,8 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, keys=None, mappe
 
 
 def _run_invoke(state, body, nid, frames):
-    _spawn(state, body.payloads[nid][0], frames, nid, body.inputs[nid])
+    name, _, site = body.payloads[nid]
+    _spawn(state, name, frames, nid, body.inputs[nid], site)
 
 
 def _run_cond(state, body, nid, frames):
@@ -398,56 +409,85 @@ def _run_cond(state, body, nid, frames):
                 return
         taken[pred].append(f)
     if taken[1]:
-        _spawn(state, tname, taken[1], nid, arg_ids + ids[1 + n_args : 1 + n_args + ct])
+        _spawn(state, tname, taken[1], nid, arg_ids + ids[1 + n_args : 1 + n_args + ct], nid)
     if taken[0] and state.error is None:
-        _spawn(state, ename, taken[0], nid, arg_ids + ids[1 + n_args + ct :])
+        _spawn(state, ename, taken[0], nid, arg_ids + ids[1 + n_args + ct :], nid)
 
 
 def _run_cond_grad(state, body, nid, frames):
+    """Replay, per frame, the branch that the mirrored forward cond took."""
     p = body.payloads[nid]
     ids = body.inputs[nid]
     ct, ce = p.cap_counts
-    n_up = len(ids) - 1 - ct - ce
-    taken = (([], []), ([], []))  # (parents, replay keys) on the else / then branch
+    n_up = len(ids) - ct - ce
+    taken = ([], [])  # parents on the else / then branch
     for f in frames:
-        fwd_key = f.values[ids[n_up]]
         try:
-            rec = f.inst.cache.read(fwd_key, p.cond_site, "branch")
+            taken[f.inst.cache.read(f.key, p.cond_site, "branch")].append(f)
         except ExecutionError:
             state.fail(
                 ExecutionError(
-                    f"forward/backward mismatch: no branch record for node "
-                    f"{p.cond_site} at key {_key_str(fwd_key)}"
+                    f"forward/backward mismatch: no branch record for node {p.cond_site}"
                 ),
                 f, nid,
             )
             return
-        if rec not in (0, 1):
-            state.fail(
-                ExecutionError(
-                    f"forward/backward mismatch: branch record for node {p.cond_site} "
-                    f"at key {_key_str(fwd_key)} is {rec!r}"
-                ),
-                f, nid,
-            )
-            return
-        taken[rec][0].append(f)
-        taken[rec][1].append(fwd_key + (p.cond_site,))
-    ups = ids[:n_up] + (None,)
+    ups = ids[:n_up]
     for rec, name, caps, slots in (
-        (1, p.then_name, ids[1 + n_up : 1 + n_up + ct], p.then_slots),
-        (0, p.else_name, ids[1 + n_up + ct :], p.else_slots),
+        (1, p.then_name, ids[n_up : n_up + ct], p.then_slots),
+        (0, p.else_name, ids[n_up + ct :], p.else_slots),
     ):
-        parents, keys = taken[rec]
-        if parents and state.error is None:
+        if not taken[rec] or state.error is not None:
+            continue
+        embed = None
+        if slots != tuple(range(p.n_union)):  # the branches capture different nodes
 
             def embed(outs, slots=slots, n_union=p.n_union):
                 union = [None] * n_union
                 for pos, slot in enumerate(slots):
-                    union[slot] = outs[pos]
-                return union[0] if n_union == 1 else tuple(union)
+                    union[slot] = outs[pos] if len(slots) > 1 else outs
+                return tuple(union)
 
-            _spawn(state, name, parents, nid, ups + caps, keys, embed)
+        _spawn(state, name, taken[rec], nid, ups + caps, p.cond_site, embed)
+
+
+def _run_sink_add(state, body, nid: int, frames):
+    """Add each frame's contribution to its instance's sink entry, in frame
+    order. A contribution that nothing else reads leaves the frame once
+    added, so a gradient frame that waits on its callees does not keep it."""
+    (src,) = body.inputs[nid]
+    top_id = body.payloads[nid]
+    drop = (
+        body.sole_dependents[src] == (nid,)
+        and not body.joint_dependents[src]
+        and src not in body.outputs
+    )
+    for f in frames:
+        v = f.values[src]
+        if drop:
+            f.values[src] = None
+        if v is None:
+            continue
+        sink = f.inst.sink
+        acc = sink.get(top_id)
+        if acc is None:
+            sink[top_id] = v.a.copy() if type(v) is Tensor else v
+        elif type(acc) is np.ndarray and type(v) is Tensor:
+            acc += v.a
+        else:
+            try:
+                sink[top_id] = add_grads(acc, v)
+            except TypeError as exc:
+                state.fail(exc, f, nid)
+                return
+    _settle(state, body, nid, frames, [None] * len(frames))
+
+
+def _sink_read(sink: dict, nid: int, shape):
+    acc = sink.get(nid)
+    if acc is None:
+        return Tensor.zeros(shape.rows, shape.cols)
+    return Tensor._wrap(acc) if type(acc) is np.ndarray else acc
 
 
 def _run_control(state: _RunState, body, nid: int, frames):
@@ -459,17 +499,22 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _run_cond(state, body, nid, frames)
     elif kind == "cond_grad":
         _run_cond_grad(state, body, nid, frames)
+    elif kind == "sink_add":
+        _run_sink_add(state, body, nid, frames)
     else:
-        src = body.inputs[nid][0]
+        ins = body.inputs[nid]
         payload = body.payloads[nid]
         outs = []
         for f in frames:
+            inst = f.inst
             try:
                 if kind == "cache_write":
-                    f.inst.cache.write(f.key, payload, "val", f.values[src])
+                    inst.cache.write(f.key, payload, "val", f.values[ins[0]])
                     outs.append(None)
-                else:
-                    outs.append(f.inst.cache.read(f.values[src], payload[0], "val"))
+                elif kind == "cache_read":
+                    outs.append(inst.cache.read(f.key, payload[0], "val"))
+                else:  # grad_out
+                    outs.append(_sink_read(inst.sink, *payload))
             except ExecutionError as exc:
                 state.fail(exc, f, nid)
                 return

@@ -26,30 +26,6 @@ class BuildError(ValueError):
     """Graph under construction was used inconsistently."""
 
 
-class _DeferredType:
-    def __repr__(self):
-        return "Deferred"
-
-
-DEFERRED = _DeferredType()
-
-
-class KeyShape:
-    """Type of an invocation-key value (an opaque call-path token)."""
-
-    def __repr__(self):
-        return "key"
-
-    def __eq__(self, other):
-        return isinstance(other, KeyShape)
-
-    def __hash__(self):
-        return hash("KeyShape")
-
-
-KEY = KeyShape()
-
-
 class TableShape(NamedTuple):
     """Type of a functional row-table value (the sequential baseline's state)."""
 
@@ -116,8 +92,8 @@ class RowGrads:
         return Tensor._wrap(out)
 
 
-def _as_shape(s) -> Shape | KeyShape | TableShape:
-    if isinstance(s, (Shape, KeyShape, TableShape)):
+def _as_shape(s) -> Shape | TableShape:
+    if isinstance(s, (Shape, TableShape)):
         return s
     if isinstance(s, tuple) and len(s) == 2:
         rows, cols = s
@@ -144,10 +120,6 @@ class Node:
         self.shape = shape
         self.grad_flag = False
 
-    @property
-    def out_shape(self):
-        return self.shape
-
 
 class SubGraphRef(NamedTuple):
     name: str
@@ -159,7 +131,6 @@ class SubGraphDef:
         self.in_shapes = [_as_shape(s) for s in in_shapes]
         self.out_shapes = [_as_shape(s) for s in out_shapes]
         self.body: Graph | None = None
-        self.is_grad = False
 
     @property
     def captures(self) -> list[NodeHandle]:
@@ -376,27 +347,19 @@ class Graph:
             if not isinstance(t, TableShape):
                 raise BuildError(f"table_zero_slot needs a row table, got {t}")
             return t
-        if kind == "key_extend":
-            need(1)
-            if shapes[0] != KEY:
-                raise BuildError("key_extend input must be a key")
-            return KEY
         if kind == "after":
             # Pass-through of input 0 that additionally waits for input 1;
             # sequences a backward call after its forward call has returned.
             need(2)
             return shapes[0]
-        if kind == "cache_read":
-            need(1)
-            if shapes[0] != KEY:
-                raise BuildError("cache_read input must be a key")
+        if kind == "cache_read":  # the value node payload[0] cached under the frame's key
+            need(0)
             return payload[1]
-        if kind == "cache_write":
+        if kind in ("cache_write", "sink_add"):
             need(1)
             return None
-        if kind == "grad_out":
-            need(1)
-            return shapes[0]
+        if kind == "grad_out":  # the sink entry of top-level node payload[0]
+            return payload[1]
         if kind == "select":
             need(1)
             src = shapes[0]
@@ -417,20 +380,14 @@ class Graph:
             raise BuildError("parameters live in the top-level graph and reach bodies by capture")
         return self.add_node("parameter", (), payload=name, shape=_as_shape(shape))
 
-    def constant(self, value: Tensor | RowTable | tuple) -> NodeHandle:
+    def constant(self, value: Tensor | RowTable) -> NodeHandle:
         if isinstance(value, Tensor):
             shape = value.shape
         elif isinstance(value, RowTable):
             shape = TableShape(len(value), value.cols)
-        elif isinstance(value, tuple):
-            shape = KEY
         else:
             raise BuildError(f"constant of unsupported type {type(value).__name__}")
         return self.add_node("const", (), payload=value, shape=shape)
-
-    def none_grad(self, shape) -> NodeHandle:
-        """A statically absent gradient (runtime value None) of a known shape."""
-        return self.add_node("none_const", (), payload=None, shape=_as_shape(shape))
 
     # -- op sugar ---------------------------------------------------------
 
@@ -531,14 +488,19 @@ class Graph:
                     f"subgraph {ref.name!r} output {i}: declared {want}, body yields {got}"
                 )
         d.body = body
-        d.is_grad = body.is_grad
 
-    def invoke(self, ref: SubGraphRef, args: Sequence[NodeHandle]) -> list[NodeHandle]:
+    def invoke(
+        self, ref: SubGraphRef, args: Sequence[NodeHandle], site: int | None = None
+    ) -> list[NodeHandle]:
+        """Call `ref`. Its frame's invocation key is the caller's plus `site`,
+        by default this call's node id; a gradient call passes the id of the
+        forward call it mirrors, so that its frame runs under that call's key."""
         self._check_mutable()
         d = self.registry[ref.name]
         self._check_args(ref.name, d, args)
         shape = d.out_shapes[0] if len(d.out_shapes) == 1 else TupleShape(tuple(d.out_shapes))
-        node = self.add_node("invoke", tuple(args), payload=ref.name, shape=shape)
+        payload = ref.name if site is None else (ref.name, site)
+        node = self.add_node("invoke", tuple(args), payload=payload, shape=shape)
         return self._split_outputs(node, d)
 
     def cond(
@@ -656,7 +618,9 @@ class Graph:
                     extra.extend(ids)
                 node.inputs = node.inputs + extra
                 if node.kind == "invoke":
-                    node.payload = (node.payload, counts[0])
+                    p = node.payload
+                    name, site = (p, node.id) if isinstance(p, str) else p
+                    node.payload = (name, counts[0], site)
                 elif node.kind == "cond":
                     node.payload = (*node.payload, counts[0], counts[1], record)
                 elif node.kind == "cond_grad":
@@ -725,12 +689,10 @@ def _kind_str(n: Node) -> str:
         return f"cond[{p[0]},{p[1]}]"
     if k == "cond_grad":
         return f"cond_grad[{p.then_name},{p.else_name}]"
-    if k == "cache_write":
-        return f"cache_write[{p}]"
-    if k == "cache_read":
-        return f"cache_read[{p[0]}]"
-    if k == "key_extend":
-        return f"key_extend[{p}]"
+    if k in ("cache_write", "sink_add"):
+        return f"{k}[{p}]"
+    if k in ("cache_read", "grad_out"):
+        return f"{k}[{p[0]}]"
     if k == "scatter_row":
         return f"scatter_row[{_shape_str(p)}]"
     return k
@@ -791,7 +753,6 @@ class FinalizedGraph:
         for name in g.declared_order:
             d = g.registry[name]
             self.bodies[name] = CompiledBody(d.body, is_top=False)
-        self.param_names = [n.payload for n in g.nodes if n.kind == "parameter"]
 
     def dump(self) -> str:
         return self.graph.dump()

@@ -1,11 +1,12 @@
 """Per-node compute closures, compiled once at finalize.
 
 Each kernel maps the frame's value list to the node's value. Control kinds
-(invoke, cond, cond_grad, cache reads/writes) have no kernel here; the
-scheduler interprets those. Nodes created by gradient synthesis are compiled
-in a None-propagating variant: a None operand means "no gradient flows", and
-the node's result is then None as well. Forward nodes stay strict, so a
-missing value in a forward body fails loudly instead of leaking None.
+(invoke, cond, cond_grad, cache reads/writes, the gradient sink's adds and
+reads) have no kernel here; the scheduler interprets those. Nodes created by
+gradient synthesis are compiled in a None-propagating variant: a None
+operand means "no gradient flows", and the node's result is then None as
+well. Forward nodes stay strict, so a missing value in a forward body fails
+loudly instead of leaking None.
 
 The maths kinds also get a batched variant (see `compile_body`), which the
 scheduler runs once for a group of k frames at the same node. Its operands
@@ -19,6 +20,7 @@ also name the failing frame.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -27,10 +29,12 @@ import numpy as np
 from .tensor import Tensor, index_value, softmax_cross_entropy
 from . import graph as _g
 
-CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "cache_read", "cache_write"})
+CONTROL_KINDS = frozenset(
+    {"invoke", "cond", "cond_grad", "cache_read", "cache_write", "sink_add", "grad_out"}
+)
 # Kernels that only move or sum values the frame already holds: they have no
 # batched variant and are never worth handing to another thread.
-PLUMBING_KINDS = frozenset({"select", "after", "key_extend", "grad_out", "grad_accum"})
+PLUMBING_KINDS = frozenset({"select", "after", "grad_accum"})
 INIT_KINDS = frozenset(
     {"const", "none_const", "input", "capture", "placeholder", "parameter"}
 )
@@ -192,10 +196,6 @@ def _build_strict(node):
             return t.set(int(index_value(v[b])), zcol)
 
         return tzero
-    if k == "key_extend":
-        (a,) = ins
-        site = node.payload
-        return lambda v: v[a] + (site,)
     if k == "after":
         a = ins[0]
         return lambda v: v[a]
@@ -203,56 +203,33 @@ def _build_strict(node):
         (a,) = ins
         idx = node.payload
         return lambda v: v[a][idx]
-    if k == "grad_out":
-        (a,) = ins
-        shape = node.shape
-
-        def gout(v):
-            x = v[a]
-            if x is None:
-                return Tensor.zeros(shape.rows, shape.cols)
-            return x
-
-        return gout
     raise _g.BuildError(f"no kernel for kind {node.kind!r}")
 
 
 def _build_grad_accum(ins):
     def accum(v):
         parts = [v[i] for i in ins if v[i] is not None]
-        if not parts:
-            return None
-        first = parts[0]
-        if isinstance(first, _g.RowGrads):
-            out = first
-            for p in parts[1:]:
-                if not isinstance(p, _g.RowGrads):
-                    raise TypeError("mixed dense and row-sparse gradients in one sum")
-                out = out.merge(p)
-            return out
-        if isinstance(first, _g.RowTable):
-            if len(parts) == 1:
-                return first
-            slots = [s.copy() for s in first.slots]
-            for p in parts[1:]:
-                if not isinstance(p, _g.RowTable):
-                    raise TypeError("mixed table and tensor gradients in one sum")
-                for i, s in enumerate(p.slots):
-                    slots[i] += s
-            for s in slots:
-                s.flags.writeable = False
-            return _g.RowTable(tuple(slots), first.cols)
-        acc = parts[0].a
-        for p in parts[1:]:
-            if isinstance(p, (_g.RowGrads, _g.RowTable)):
-                raise TypeError("mixed dense and row-sparse gradients in one sum")
-            acc = acc + p.a
-        return _W(acc) if len(parts) > 1 else parts[0]
+        return functools.reduce(add_grads, parts) if parts else None
 
     return accum
 
 
-_CUSTOM_NONE = frozenset({"grad_accum", "grad_out", "select"})
+def add_grads(a, b):
+    """The sum of two gradients of one node: dense tensors add, row-sparse
+    gradients concatenate their entries, and row tables add slot by slot."""
+    if type(a) is not type(b):
+        raise TypeError(f"mixed {type(a).__name__} and {type(b).__name__} gradients in one sum")
+    if isinstance(a, _g.RowGrads):
+        return a.merge(b)
+    if isinstance(a, _g.RowTable):
+        slots = tuple(x + y for x, y in zip(a.slots, b.slots))
+        for x in slots:
+            x.flags.writeable = False
+        return _g.RowTable(slots, a.cols)
+    return _W(a.a + b.a)
+
+
+_CUSTOM_NONE = frozenset({"grad_accum", "select"})
 
 
 def _none_prop(fn, ins):

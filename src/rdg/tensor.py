@@ -1,9 +1,11 @@
-"""Dense 2-D float64 tensors and the small kernel set the models need.
+"""Dense 2-D float64 tensors.
 
 Every value that flows through a graph edge is one of these: row-major,
 64-bit, exactly two dimensions (vectors are single-row or single-column
-matrices). All operations are pure functions; backing arrays are frozen so
-an in-place mutation of an input is an error rather than a silent bug.
+matrices). Backing arrays are frozen, so an in-place mutation of an input is
+an error rather than a silent bug. The ops over them are the compiled
+kernels of `kernels.py`; this module keeps the helpers they share: the
+softmax cross-entropy, reading an index out of a tensor, and initialisation.
 """
 
 from __future__ import annotations
@@ -140,55 +142,6 @@ class Tensor:
         return f"Tensor({self.rows}x{self.cols})"
 
 
-def _shape_err(op: str, a: Tensor, b: Tensor) -> DimensionError:
-    return DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise _shape_err("matmul", a, b)
-    return Tensor._wrap(a.a @ b.a)
-
-
-_UNARY = {
-    "tanh": np.tanh,
-    "sigmoid": lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)),  # stable at large |x|
-    "neg": np.negative,
-    "square": np.square,
-}
-
-
-def apply_unary(x: Tensor, f: str) -> Tensor:
-    try:
-        fn = _UNARY[f]
-    except KeyError:
-        raise ValueError(f"unknown unary function {f!r}") from None
-    return Tensor._wrap(fn(x.a))
-
-
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "hadamard": np.multiply,
-}
-
-
-def apply_binary(a: Tensor, b: Tensor, f: str) -> Tensor:
-    try:
-        fn = _BINARY[f]
-    except KeyError:
-        raise ValueError(f"unknown binary function {f!r}") from None
-    if a.a.shape != b.a.shape:
-        raise _shape_err(f, a, b)
-    return Tensor._wrap(fn(a.a, b.a))
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.cols:
-        raise _shape_err("concat_rows", a, b)
-    return Tensor._wrap(np.concatenate((a.a, b.a), axis=0))
-
-
 def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[float, Tensor]:
     """Loss -log softmax(logits)[label] and its gradient w.r.t. the logits.
 
@@ -209,21 +162,11 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[float, Tensor]:
     return loss, Tensor._wrap(grad.reshape(1, c))
 
 
-def gather_row(table: Tensor, index: int) -> Tensor:
-    if not 0 <= index < table.rows:
-        raise IndexError(f"row index {index} out of range for table {table.shape}")
-    return Tensor._wrap(table.a[index : index + 1].copy())
-
-
 def random_init(shape: Shape | tuple[int, int], scale: float, rng: np.random.Generator) -> Tensor:
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     rows, cols = shape
     return Tensor._wrap(rng.uniform(-scale, scale, size=(rows, cols)))
-
-
-def transpose(x: Tensor) -> Tensor:
-    return Tensor._wrap(np.ascontiguousarray(x.a.T))
 
 
 def index_value(t: Tensor) -> int:

@@ -213,7 +213,7 @@ def train(
     g, gm, prediction = _prepare(model, grad)
     state = adagrad_init(params)
     rng = np.random.default_rng(cfg.seed)
-    opts = RunOptions(threads=cfg.threads, seed=cfg.seed)
+    opts = RunOptions(threads=cfg.threads)
     history: list[Metrics] = []
     step = 0
     val_acc: float | None = None

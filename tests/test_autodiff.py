@@ -24,7 +24,7 @@ from rdg import (
     run,
     run_training_step,
 )
-from rdg.graph import CondGradPayload, KEY, Shape
+from rdg.graph import CondGradPayload, Shape
 
 
 def fd_grad(f, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -302,6 +302,52 @@ class TestRecursion:
         assert grads["x"].item() == pytest.approx(wv**n, rel=1e-9, abs=1e-12)
 
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nested_body_captures_enclosing_body_node(self, threads):
+        # loss = w x^2: Outer computes y = w x, and Inner, a body nested in
+        # Outer, captures y and returns y x
+        g = Graph()
+        w = g.parameter("w", (1, 1))
+        x = g.placeholder((1, 1), "x")
+        outer = g.declare_subgraph("Outer", [(1, 1)], [(1, 1)])
+        inner = g.declare_subgraph("Inner", [(1, 1)], [(1, 1)])
+        ob = g.body(outer)
+        (xo,) = ob.args
+        y = ob.matmul(w, xo)
+        ib = ob.body(inner)
+        (xi,) = ib.args
+        ib.set_outputs([ib.matmul(y, xi)])
+        g.define_subgraph(inner, ib)
+        ob.set_outputs(ob.invoke(inner, [xo]))
+        g.define_subgraph(outer, ob)
+        loss = g.invoke(outer, [x])[0]
+        wv, xv = 1.5, -2.0
+        lv, grads = grads_of(
+            g, loss, [w, x], {"x": Tensor.scalar(xv)}, {"w": Tensor.scalar(wv)}, threads
+        )
+        assert lv == wv * xv * xv
+        assert grads["w"].item() == xv * xv
+        assert grads["x"].item() == 2 * wv * xv
+
+    def test_body_captures_top_level_computed_node(self):
+        # loss = w x^2 + w x: F captures the top-level node y = w x
+        g = Graph()
+        w = g.parameter("w", (1, 1))
+        x = g.placeholder((1, 1), "x")
+        y = g.matmul(w, x)
+        f = g.declare_subgraph("F", [(1, 1)], [(1, 1)])
+        fb = g.body(f)
+        fb.set_outputs([fb.matmul(y, fb.args[0])])
+        g.define_subgraph(f, fb)
+        loss = g.add(g.invoke(f, [x])[0], y)
+        lv, grads = grads_of(
+            g, loss, [w, x], {"x": Tensor.scalar(-2.0)}, {"w": Tensor.scalar(1.5)}
+        )
+        assert lv == 3.0
+        assert grads["w"].item() == 4.0 - 2.0  # x^2 + x
+        assert grads["x"].item() == -6.0 + 1.5  # 2 w x + w
+
+
 class TestCondRouting:
     def test_untaken_branch_parameter_gets_exact_zeros(self):
         g = Graph()
@@ -336,17 +382,16 @@ class TestCondRouting:
 
     def test_missing_branch_record_is_reported(self):
         g = Graph()
-        ga = g.declare_subgraph("GA", [(1, 1), KEY], [(1, 1)])
-        gb = g.declare_subgraph("GB", [(1, 1), KEY], [(1, 1)])
+        ga = g.declare_subgraph("GA", [(1, 1)], [(1, 1)])
+        gb = g.declare_subgraph("GB", [(1, 1)], [(1, 1)])
         for ref in (ga, gb):
             b = g.body(ref)
             b.set_outputs([b.args[0]])
             g.define_subgraph(ref, b)
         dout = g.constant(Tensor.scalar(1.0))
-        key = g.constant(())
         bad = g.add_node(
             "cond_grad",
-            (dout, key),
+            (dout,),
             payload=CondGradPayload(
                 cond_site=99,
                 then_name="GA",

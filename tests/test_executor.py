@@ -1,5 +1,6 @@
 """Scheduler behavior: overlap, determinism, frames, cache, error context."""
 
+import re
 import threading
 import time
 import weakref
@@ -223,6 +224,17 @@ class TestRecursionMechanics:
         with pytest.raises(ExecutionError, match="recursion depth .* exceeds limit 64"):
             run(fg, {"x": Tensor.scalar(1.0)}, [y], RunOptions(max_recursion_depth=64))
         assert time.monotonic() - t0 < 10.0
+
+    def test_depth_limit_message_abbreviates_the_key(self):
+        # 257 leaves in a line: 513 call sites deep, one past the limit
+        cfg = ModelConfig("treernn", d=4, vocab=21, classes=2)
+        rec = build_recursive(cfg)
+        tree = generate_synthetic("linear", 257, 20, 2, np.random.default_rng(0))
+        with pytest.raises(ExecutionError) as e:
+            run(rec.graph, make_feeds(rec, tree), [rec.loss], params=init_params(cfg))
+        msg = str(e.value)
+        assert re.search(r"at key \d.*recursion depth 513 exceeds limit 512", msg)
+        assert len(msg) < 300, msg
 
     def test_runtime_error_carries_node_and_key(self):
         g = Graph()
@@ -530,16 +542,14 @@ class TestCache:
         g = Graph()
         src = g.constant(Tensor.scalar(5.0))
         g.add_node("cache_write", (src,), payload=src.id)
-        key = g.constant(())
-        rd = g.add_node("cache_read", (key,), payload=(src.id, Shape(1, 1)))
+        rd = g.add_node("cache_read", (), payload=(src.id, Shape(1, 1)))
         fg = g.finalize()
         res = run(fg, {}, [rd], RunOptions(threads=1))
         assert res.values[0].item() == 5.0
 
     def test_missing_entry_is_backward_before_forward(self):
         g = Graph()
-        key = g.constant((9,))  # no frame ever wrote under this key
-        rd = g.add_node("cache_read", (key,), payload=(0, Shape(1, 1)))
+        rd = g.add_node("cache_read", (), payload=(0, Shape(1, 1)))  # nothing was written
         fg = g.finalize()
         with pytest.raises(ExecutionError, match="backward before forward"):
             run(fg, {}, [rd], RunOptions(threads=1))

@@ -231,7 +231,7 @@ class TestTripleRouteEquivalence:
         rng = np.random.default_rng(31)
         trees = [generate_synthetic("moderate", k, 11, 3, rng) for k in (1, 2, 3, 5, 8)]
         trees.append(generate_synthetic("linear", 6, 11, 3, rng))
-        opts = RunOptions(threads=2, seed=0)
+        opts = RunOptions(threads=2)
 
         for i, tree in enumerate(trees):
             per_node = bool(i % 2)
@@ -428,6 +428,45 @@ class TestBuilderStructure:
             got = res.values[0]
             assert (got.rows, got.cols) == (1, 4)
             np.testing.assert_allclose(got.a.reshape(-1), want, rtol=0, atol=1e-9)
+
+
+class TestGradientGraph:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_gradient_subgraphs_mirror_forward_signatures(self, kind):
+        # X__grad takes X's output gradients and returns its input gradients:
+        # no invocation-key input, and no outputs for the captured parameters
+        rec = build_recursive(ModelConfig(kind, d=4, vocab=12, classes=3))
+        g, _ = differentiate(rec.graph, rec.loss, list(rec.params.values()))
+        registry = g.graph.registry
+        for name in ("Model", "Leaf", "Internal"):
+            fwd, grad = registry[name], registry[f"{name}__grad"]
+            assert grad.in_shapes == fwd.out_shapes
+            assert grad.out_shapes == fwd.in_shapes
+
+    def test_parameter_gradients_fetched_alone_are_complete(self):
+        # grad_out waits for every gradient call, so fetching only the
+        # gradients still gets every contribution
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=3)
+        rec = build_recursive(cfg)
+        params = init_params(cfg, seed=1, scale=0.3)
+        g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
+        tree = generate_synthetic("balanced", 8, 11, 3, np.random.default_rng(8))
+        fetches = [gm.param_grads[n] for n in gm.param_order]
+        res = run(g, make_feeds(rec, tree), fetches, RunOptions(), params)
+        _, want = oracle_forward_backward("treelstm", params, tree)
+        for name, got in zip(gm.param_order, res.values):
+            scale = max(1.0, float(np.abs(want[name]).max()))
+            assert np.abs(_dense(got) - want[name]).max() / scale < 1e-7, name
+        assert isinstance(res.values[gm.param_order.index("E")], RowGrads)
+
+    def test_treelstm_training_step_node_executions(self):
+        cfg = ModelConfig("treelstm", d=16, vocab=21, classes=2)
+        rec = build_recursive(cfg)
+        g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
+        tree = generate_synthetic("balanced", 64, 20, 2, np.random.default_rng(0))
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
+        assert len(res.trace) <= 11_000  # one row per executed (frame, node)
 
 
 class TestConfigAndCheckpoint:

@@ -1,4 +1,8 @@
-"""Kernel-level checks: frozen hand values, stdlib-math oracles, purity."""
+"""Kernel-level checks: frozen hand values, stdlib-math oracles, purity.
+
+The op checks run the compiled per-frame kernels of `kernels.py`, the ones
+the executor runs, on one-node graphs over constant operands.
+"""
 
 import math
 
@@ -7,97 +11,133 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdg import tensor
-from rdg.tensor import DimensionError, Tensor
+from rdg import BuildError, Graph, kernels, tensor
+from rdg.tensor import Tensor
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def kernel(kind, *operands, payload=None):
+    """The compiled kernel of one `kind` node applied to `operands`.
+
+    Building the node checks the operand shapes, as it does for any graph;
+    a kernel's own errors propagate unwrapped.
+    """
+    g = Graph()
+    node = g.add_node(kind, [g.constant(x) for x in operands], payload=payload)
+    fns, _, _ = kernels.compile_body(g)
+    return fns[node.id](list(operands))
+
+
+def matmul(a, b):
+    return kernel("matmul", a, b)
+
+
+def unary(x, f):
+    return kernel("unary", x, payload=f)
+
+
+def binary(a, b, f):
+    return kernel("binary", a, b, payload=f)
+
+
+def concat_rows(a, b):
+    return kernel("concat_rows", a, b)
+
+
+def gather_row(table, i):
+    return kernel("gather_row", table, Tensor.scalar(float(i)))
+
+
+def transpose(x):
+    return kernel("transpose", x)
+
+
 class TestMatmul:
     def test_identity_left_and_right(self):
         m = tensor.random_init((2, 2), 1.0, rng(3))
         i2 = Tensor.eye(2)
-        assert tensor.matmul(i2, m) == m
-        assert tensor.matmul(m, i2) == m
+        assert matmul(i2, m) == m
+        assert matmul(m, i2) == m
 
     def test_hand_computed_product(self):
         a = Tensor.from_rows([[1, 2], [3, 4]])
         b = Tensor.from_rows([[5], [6]])
         # dot products computed by hand: 1*5+2*6=17, 3*5+4*6=39
-        assert tensor.matmul(a, b) == Tensor.from_rows([[17], [39]])
+        assert matmul(a, b) == Tensor.from_rows([[17], [39]])
 
     def test_zeros_annihilate(self):
-        out = tensor.matmul(Tensor.zeros(3, 4), Tensor.ones(4, 2))
+        out = matmul(Tensor.zeros(3, 4), Tensor.ones(4, 2))
         assert out == Tensor.zeros(3, 2)
 
     def test_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError) as e:
-            tensor.matmul(Tensor.zeros(2, 3), Tensor.zeros(4, 2))
+        with pytest.raises(BuildError) as e:
+            matmul(Tensor.zeros(2, 3), Tensor.zeros(4, 2))
         assert "2x3" in str(e.value) and "4x2" in str(e.value)
 
 
 class TestUnary:
     def test_tanh_zero(self):
-        assert tensor.apply_unary(Tensor.zeros(2, 2), "tanh") == Tensor.zeros(2, 2)
+        assert unary(Tensor.zeros(2, 2), "tanh") == Tensor.zeros(2, 2)
 
     def test_sigmoid_zero(self):
-        out = tensor.apply_unary(Tensor.scalar(0.0), "sigmoid")
+        out = unary(Tensor.scalar(0.0), "sigmoid")
         assert out.item() == 0.5
 
     def test_tanh_against_stdlib(self):
         # independent scalar oracle: math.tanh
-        out = tensor.apply_unary(Tensor.scalar(0.5), "tanh")
+        out = unary(Tensor.scalar(0.5), "tanh")
         assert abs(out.item() - math.tanh(0.5)) < 1e-15
         assert abs(out.item() - 0.46211715726000974) < 1e-15
 
     def test_sigmoid_against_stdlib(self):
-        out = tensor.apply_unary(Tensor.scalar(-1.25), "sigmoid")
+        out = unary(Tensor.scalar(-1.25), "sigmoid")
         assert abs(out.item() - 1.0 / (1.0 + math.exp(1.25))) < 1e-15
 
     def test_neg_square(self):
         x = Tensor.from_rows([[2.0, -3.0]])
-        assert tensor.apply_unary(x, "neg") == Tensor.from_rows([[-2.0, 3.0]])
-        assert tensor.apply_unary(x, "square") == Tensor.from_rows([[4.0, 9.0]])
+        assert unary(x, "neg") == Tensor.from_rows([[-2.0, 3.0]])
+        assert unary(x, "square") == Tensor.from_rows([[4.0, 9.0]])
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
-            tensor.apply_unary(Tensor.zeros(1, 1), "exp")
+            unary(Tensor.zeros(1, 1), "exp")
 
 
 class TestBinary:
     def test_identities(self):
         m = tensor.random_init((3, 2), 1.0, rng(5))
-        assert tensor.apply_binary(m, Tensor.zeros(3, 2), "add") == m
-        assert tensor.apply_binary(m, Tensor.ones(3, 2), "hadamard") == m
-        assert tensor.apply_binary(m, m, "sub") == Tensor.zeros(3, 2)
+        assert binary(m, Tensor.zeros(3, 2), "add") == m
+        assert binary(m, Tensor.ones(3, 2), "hadamard") == m
+        assert binary(m, m, "sub") == Tensor.zeros(3, 2)
 
     def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            tensor.apply_binary(Tensor.zeros(2, 2), Tensor.zeros(2, 3), "add")
+        with pytest.raises(BuildError):
+            binary(Tensor.zeros(2, 2), Tensor.zeros(2, 3), "add")
 
 
 class TestConcatRows:
     def test_rows_stack_in_order(self):
         a = Tensor.from_rows([[1.0, 2.0]])
         b = Tensor.from_rows([[3.0, 4.0]])
-        assert tensor.concat_rows(a, b) == Tensor.from_rows([[1, 2], [3, 4]])
+        assert concat_rows(a, b) == Tensor.from_rows([[1, 2], [3, 4]])
 
     def test_round_trip_split(self):
         a = tensor.random_init((2, 3), 1.0, rng(7))
         b = tensor.random_init((1, 3), 1.0, rng(8))
-        c = tensor.concat_rows(a, b)
+        c = concat_rows(a, b)
         assert Tensor.from_array(c.a[: a.rows]) == a
         assert Tensor.from_array(c.a[a.rows :]) == b
 
     def test_zeros_over_ones(self):
-        c = tensor.concat_rows(Tensor.zeros(2, 3), Tensor.ones(1, 3))
+        c = concat_rows(Tensor.zeros(2, 3), Tensor.ones(1, 3))
         assert c.tolist() == [[0, 0, 0], [0, 0, 0], [1, 1, 1]]
 
     def test_column_mismatch(self):
-        with pytest.raises(DimensionError):
-            tensor.concat_rows(Tensor.zeros(1, 2), Tensor.zeros(1, 3))
+        with pytest.raises(BuildError):
+            concat_rows(Tensor.zeros(1, 2), Tensor.zeros(1, 3))
 
 
 class TestSoftmaxCrossEntropy:
@@ -138,21 +178,21 @@ class TestSoftmaxCrossEntropy:
 
 class TestGatherRow:
     def test_identity_row(self):
-        assert tensor.gather_row(Tensor.eye(3), 1) == Tensor.from_rows([[0, 1, 0]])
+        assert gather_row(Tensor.eye(3), 1) == Tensor.from_rows([[0, 1, 0]])
 
     def test_purity(self):
         t = tensor.random_init((4, 3), 1.0, rng(9))
         before = t.a.copy()
-        g1 = tensor.gather_row(t, 2)
-        g2 = tensor.gather_row(t, 2)
+        g1 = gather_row(t, 2)
+        g2 = gather_row(t, 2)
         assert g1 == g2
         assert np.array_equal(t.a, before)
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            tensor.gather_row(Tensor.eye(3), 3)
+            gather_row(Tensor.eye(3), 3)
         with pytest.raises(IndexError):
-            tensor.gather_row(Tensor.eye(3), -1)
+            gather_row(Tensor.eye(3), -1)
 
 
 class TestRandomInit:
@@ -210,15 +250,15 @@ class TestProperties:
         r = rng(seed)
         a = tensor.random_init((n, k), 2.0, r)
         b = tensor.random_init((k, m), 2.0, r)
-        lhs = tensor.transpose(tensor.matmul(a, b))
-        rhs = tensor.matmul(tensor.transpose(b), tensor.transpose(a))
+        lhs = transpose(matmul(a, b))
+        rhs = matmul(transpose(b), transpose(a))
         assert np.allclose(lhs.a, rhs.a, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(small_matrix())
     def test_unary_outputs_finite_and_inputs_frozen(self, x):
         for f in ("tanh", "sigmoid", "neg", "square"):
-            out = tensor.apply_unary(x, f)
+            out = unary(x, f)
             assert np.isfinite(out.a).all()
         with pytest.raises(ValueError):
             x.a[0, 0] = 99.0  # backing array is read-only
@@ -229,8 +269,8 @@ class TestProperties:
         y = tensor.random_init((x.rows, x.cols), 5.0, rng(seed))
         xa = x.a.copy()
         for f in ("add", "sub", "hadamard"):
-            out1 = tensor.apply_binary(x, y, f)
-            out2 = tensor.apply_binary(x, y, f)
+            out1 = binary(x, y, f)
+            out2 = binary(x, y, f)
             assert out1 == out2
             assert np.isfinite(out1.a).all()
         assert np.array_equal(x.a, xa)
