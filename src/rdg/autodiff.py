@@ -6,12 +6,11 @@ gradient SubGraph F__grad that mirrors F's signature: its inputs are the
 gradients of F's outputs, and its outputs are the gradients of F's inputs,
 followed, for a body nested in another body, by the gradients of the nodes
 of enclosing bodies that F captures. A recursive Invoke in F is mirrored by
-a recursive Invoke of F__grad at the same position, and a gradient frame
-runs under the invocation key of the forward frame it mirrors. Forward
-values a gradient needs are wired directly when they live in the same frame,
-and through the per-run value cache otherwise: the forward clone gains
-CacheWrite nodes for exactly the values some gradient reads, and every
-gradient body reads them back under its own key.
+a recursive Invoke of F__grad at the same position, and each gradient frame
+is paired with the forward frame it mirrors. Forward values a gradient needs
+are wired directly when they live in the same frame. Otherwise they are
+`fwd_value` slots of the gradient body, filled from the mirrored forward
+frame when the gradient frame is created, the way arguments are.
 
 Gradients of top-level nodes do not travel back through return values.
 Every contribution to a top-level node that a body captures (a parameter,
@@ -21,9 +20,9 @@ the sum, or zeros when nothing arrived, once every top-level gradient call
 has returned. No gradient is emitted toward a top-level parameter,
 placeholder or constant outside `wrt`, nor toward its capture proxies.
 
-Cond gradients route through the recorded taken branch only; the untaken
-branch's parameters receive no contribution, which materializes as exact
-zeros at the top level.
+A cond gradient runs the gradient of the branch its mirrored forward frame
+ran; the untaken branch's parameters receive no contribution, which
+materializes as exact zeros at the top level.
 """
 
 from __future__ import annotations
@@ -96,8 +95,8 @@ def _clone_nodes(src: Graph, dst: Graph, gmap: dict):
             payload, ncaps = payload[0], payload[1]
             if ncaps:
                 inputs = inputs[: len(inputs) - ncaps]
-        elif kind == "cond" and len(payload) == 5:
-            tname, ename, ct, ce, _rec = payload
+        elif kind == "cond" and len(payload) == 4:
+            tname, ename, ct, ce = payload
             payload = (tname, ename)
             if ct + ce:
                 inputs = inputs[: len(inputs) - ct - ce]
@@ -145,17 +144,15 @@ class _Context:
         if self.fwd is self.out:
             return NodeHandle(self.fwd, nid)
         if node.kind == "capture" and node.payload.graph.parent is None:
-            # Top-level values are the same in every frame; re-capturing the
-            # outer node is cheaper than a cache round-trip. Captures of an
-            # intermediate frame's nodes go through the cache like any other
-            # frame-local value (the proxy holds the value in this frame).
+            # Top-level values are the same in every frame: re-capture the
+            # outer node. Captures of an intermediate frame's nodes are read
+            # like any other frame-local value (the proxy holds it).
             return node.payload
         if node.kind == "const":
             return self.emit("const", (), payload=node.payload, shape=node.shape)
         h = self._reads.get(nid)
         if h is None:
-            h = self._reads[nid] = self.emit("cache_read", payload=(nid, node.shape))
-            self.synth.needed.setdefault(self.fwd.label, set()).add(nid)
+            h = self._reads[nid] = self.emit("fwd_value", payload=nid, shape=node.shape)
         return h
 
     def add_adjoint(self, nid: int, h: NodeHandle):
@@ -219,7 +216,6 @@ class _Synth:
         self.registry = top.registry
         self.wrt = wrt  # top-level node ids
         self.gsub: dict[str, SubGraphRef] = {}
-        self.needed: dict[str, set[int]] = {}
         self.sunk: set[int] = set()  # top-level ids that have sink_add nodes
         # top-level gradient calls and sink adds: sink reads wait for them
         self.waits: list[NodeHandle] = []
@@ -239,7 +235,7 @@ class _Synth:
         self.gsub[name] = ref  # registered before the body: recursion closes here
 
         body = self.top.body(ref)
-        body.is_grad = True
+        body.mirrors = name
         ctx = _Context(self, d.body, body)
         for j, out_id in enumerate(d.body.outputs):
             if ctx.want(out_id):
@@ -341,7 +337,6 @@ def _vjp_node(ctx: _Context, node, d: NodeHandle):
         "none_const",
         "input",
         "capture",
-        "after",
     ):
         return
     if kind == "matmul":
@@ -427,24 +422,14 @@ def _vjp_node(ctx: _Context, node, d: NodeHandle):
 
 
 def _upstream(ctx: _Context, node, out_shapes) -> list[NodeHandle] | None:
-    """The gradients of a call's outputs, or None if all are None.
-
-    A top-level gradient call has nothing else ordering it after its forward
-    call, so one of its upstream gradients passes through an `after` node
-    that waits for the forward value. A returned call implies its whole
-    frame tree completed, cached values included.
-    """
+    """The gradients of a call's outputs, or None if all are None."""
     if len(out_shapes) == 1:
         douts = [ctx.grad_or_none(ctx.combined(node.id), out_shapes[0])]
     else:
         slot_grads = ctx.bucket.get(node.id, {})
         douts = [ctx.grad_or_none(slot_grads.get(k), s) for k, s in enumerate(out_shapes)]
-    real = [k for k, h in enumerate(douts) if ctx.out.nodes[h.id].kind != "none_const"]
-    if not real:
+    if all(ctx.out.nodes[h.id].kind == "none_const" for h in douts):
         return None
-    if ctx.fwd is ctx.out:
-        k = real[0]
-        douts[k] = ctx.emit("after", (douts[k], NodeHandle(ctx.fwd, node.id)))
     return douts
 
 
@@ -535,7 +520,6 @@ def differentiate(
             )
 
     top, _gmap = _clone(fg)
-    top.record_branches = True
     synth = _Synth(top, {w.id for w in wrt})
     ctx = _Context(synth, top, top)
     seed = ctx.emit("const", (), payload=Tensor.scalar(1.0), shape=Shape(1, 1))
@@ -548,11 +532,6 @@ def differentiate(
         payload = (w.id, top.nodes[w.id].shape)
         gm.param_grads[name] = ctx.emit("grad_out", tuple(synth.waits), payload=payload)
         gm.param_order.append(name)
-
-    for name, ids in synth.needed.items():
-        body = top.registry[name].body
-        for x in sorted(ids):
-            body.add_node("cache_write", (NodeHandle(body, x),), payload=x)
 
     top.from_differentiate = True
     out = top.finalize()

@@ -18,7 +18,7 @@ where a global interpreter lock serialises small numpy ops.
 `run_batch` runs several instances of a graph in one wavefront: their
 frames at the same node share groups, so a batch of narrow trees fills the
 stacked kernels that one wide tree fills on its own. Each instance keeps its
-own top frame, value cache and fetches; `run` is a batch of one.
+own top frame, gradient sink and fetches; `run` is a batch of one.
 
 The thread that called `run` owns all bookkeeping: it forms the groups,
 records results, counts down dependents, expands control nodes, and returns
@@ -34,12 +34,18 @@ finished first, so results are bit-identical for every thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
 join the next round, and register the parent node as the child's return
-slot. Frames form a tree through parent pointers, and each dynamic
-invocation is identified by an invocation key — the path of call-site node
-ids from the top frame. A gradient frame runs under the key of the forward
-frame it mirrors, so the write-once value cache that pairs forward
-activations with their backward readers, and the record of which branch a
-cond took, are both read under the reading frame's own key.
+slot. Frames form a tree through parent pointers. A frame's depth counts the
+call sites above it, and its key, the path of their node ids, is built from
+the parent pointers for error messages and trace rows only.
+
+In a differentiated graph, a forward frame records the child frame of each
+call site that a gradient call mirrors. That gradient call pops the child
+from its parent's record (the top frame's, or the one the parent took over
+from its forward frame): the child's values fill the new frame's forward-value
+slots, a cond gradient runs the branch the child ran, and the new frame takes
+over the child's record. One call site below its parent, at the child's site,
+it has the child's depth and key. A completed recorded frame keeps only the
+values its gradient reads, and is freed once that gradient frame exists.
 
 Each instance also holds a gradient sink: `sink_add` nodes add every
 gradient contribution to a top-level node (a parameter a body captures, say)
@@ -79,11 +85,23 @@ _OFFLOAD_WORK = float(1 << 20)
 
 
 class ExecutionError(RuntimeError):
-    """A run failed; the message carries the node id and invocation key."""
+    """A run failed; the message carries the node id and the frame's key."""
 
 
 @dataclass
 class RunOptions:
+    """How to run a graph.
+
+    - `threads`: threads that compute large kernels; results are the same for any count.
+    - `max_recursion_depth`: the most call sites above a frame. Each `invoke` and
+      each `cond` counts one, so the bundled tree models spend two per tree level
+      and the default admits linear trees of up to 256 leaves.
+    - `debug`: check that each node's inputs are resolved before it runs.
+    - `instrument`: record `RunResult.peak_concurrency`.
+    - `trace`: record `RunResult.trace`, as the environment's `RDG_TRACE=1` does.
+    - `timeout_s`: the most wall-clock seconds a run may take.
+    """
+
     threads: int = 1
     max_recursion_depth: int = 512
     debug: bool = False
@@ -110,52 +128,13 @@ class RunResult:
     trace: list = field(default_factory=list)
 
 
-def _key_str(key: tuple, full: bool = False) -> str:
-    """The call-site path of `key`; unless `full`, a key of more than 16 ids
-    keeps its first and last 8 and gives its depth."""
-    if len(key) > 16 and not full:
-        return f"{_key_str(key[:8])}/.../{_key_str(key[-8:])} (depth {len(key)})"
-    return "/".join([str(i) for i in key]) if key else "-"
-
-
-class ValueCache:
-    """Write-once map (invocation key, node id, tag) -> value."""
-
-    __slots__ = ("_d", "__weakref__")
-
-    def __init__(self):
-        self._d = {}
-
-    def write(self, key: tuple, node: int, tag: str, value):
-        # dict.setdefault is a single atomic operation in CPython, which makes
-        # the absent->present transition race-free across threads. Each write
-        # gets a fresh cell so a second write is detected even when it
-        # carries the identical value object.
-        cell = [value]
-        existing = self._d.setdefault((key, node, tag), cell)
-        if existing is not cell:
-            raise ExecutionError(f"duplicate cache write for node {node} ({tag})")
-
-    def read(self, key: tuple, node: int, tag: str):
-        try:
-            return self._d[(key, node, tag)][0]
-        except KeyError:
-            raise ExecutionError(
-                f"backward before forward: no cached {tag} for node {node}"
-            ) from None
-
-    def __len__(self):
-        return len(self._d)
-
-
 class _Instance:
-    """One fed instance of a run: its value cache, gradient sink, counts and
-    frame templates."""
+    """One fed instance of a run: its gradient sink, counts and frame
+    templates."""
 
-    __slots__ = ("cache", "sink", "frames", "fetch_remaining", "templates")
+    __slots__ = ("sink", "frames", "fetch_remaining", "templates")
 
     def __init__(self):
-        self.cache = ValueCache()
         # top-level node id -> the sum of the gradient contributions so far;
         # a dense sum is a private array, added to in place
         self.sink = {}
@@ -168,20 +147,38 @@ class _Instance:
 
 class _Frame:
     __slots__ = (
-        "body", "key", "values", "pending", "remaining", "parent", "return_node", "mapper",
-        "inst",
+        "body", "values", "pending", "remaining", "parent", "return_node", "site", "depth",
+        "mapper", "inst", "children", "path", "__weakref__",
     )
 
-    def __init__(self, body, key, values, parent, return_node, mapper, inst):
+    def __init__(self, body, values, parent, return_node, site, depth, mapper, inst):
         self.body = body
-        self.key = key
         self.values = values
         self.pending = body.pending0.copy()
         self.remaining = body.completion_total
         self.parent = parent
         self.return_node = return_node
+        self.site = site  # the forward call site, for a gradient frame too
+        self.depth = depth
         self.mapper = mapper
         self.inst = inst
+        # call site -> the child frame a gradient call will pop; a gradient
+        # frame holds the record of the forward frame it mirrors
+        self.children = {} if body.recorded else None
+        self.path = None  # the key, built from the parent's when tracing
+
+
+def _key_str(f: _Frame) -> str:
+    """f's key for an error message: more than 16 call sites keep their first
+    and last 8 and give the depth."""
+    sites = []
+    while f.parent is not None:
+        sites.append(str(f.site))
+        f = f.parent
+    sites.reverse()
+    if len(sites) > 16:
+        return f"{'/'.join(sites[:8])}/.../{'/'.join(sites[-8:])} (depth {len(sites)})"
+    return "/".join(sites) or "-"
 
 
 def _template(body) -> list:
@@ -230,12 +227,12 @@ class _RunState:
 
     def fail(self, exc: BaseException, frame: _Frame, nid: int):
         if self.error is None:
-            self.error = (exc, frame.key, nid, frame.body.kinds[nid])
+            self.error = (exc, _key_str(frame), nid, frame.body.kinds[nid])
 
     def record(self, wid: int, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
-        rows = [(ts, wid, _key_str(f.key, full=True), nid, label) for f in frames]
+        rows = [(ts, wid, f.path, nid, label) for f in frames]
         with self.lock:
             self.trace.extend(rows)
 
@@ -266,7 +263,9 @@ def _settle(state: _RunState, body, nid: int, frames, outs):
     Dependents whose last input this was join the next round. Frames whose
     outputs are now complete return their value to the parent's call node,
     one group per (parent body, call node), which may complete the parents
-    in turn. Iterative, so deep call chains cannot exhaust the stack.
+    in turn; a completed frame that a gradient call will read keeps only
+    the values that gradient reads. Iterative, so deep call chains cannot
+    exhaust the stack.
     """
     ready = state.ready
     work = []
@@ -314,6 +313,10 @@ def _settle(state: _RunState, body, nid: int, frames, outs):
                     returns[key] = entry = ([], [])
                 entry[0].append(parent)
                 entry[1].append(_frame_value(f))
+                if f.return_node in parent.body.recorded:
+                    vals = f.values
+                    f.values = {i: vals[i] for i in f.body.keep}
+                    f.pending = f.parent = f.mapper = None
             for (pbody, rnode), (parents, values) in reversed(returns.items()):
                 work.append((pbody, rnode, parents, values))
         if not work:
@@ -331,13 +334,15 @@ def _frame_value(f: _Frame):
     return value
 
 
-def _spawn(state: _RunState, name: str, parents, nid: int, ids, site: int, mapper=None):
+def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, mapper=None):
     """Create one child frame of `name` per parent, called from node `nid`.
 
-    The child's arguments are the parent's values at node ids `ids`, and its
-    invocation key is the parent's plus `site`. Captures of top-level nodes
-    hold one value per instance, so each instance keeps a template per body
-    with those set.
+    The child's arguments are the parent's values at node ids `ids`. A
+    gradient call passes the forward call site it mirrors, and each child
+    reads the forward frame popped from its parent's record there; a forward
+    call that a gradient call mirrors records each child. Captures of
+    top-level nodes hold one value per instance, so each instance keeps a
+    template per body with those set.
     """
     body = state.g.bodies[name]
     slots = body.arg_slots
@@ -355,12 +360,14 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, site: int, mappe
     for slot, i in zip(slots, ids):
         (shared if body.shared[slot] else own).append((slot, i))
     limit = state.opts.max_recursion_depth
+    site = nid if fwd_site is None else fwd_site
+    record = nid in parents[0].body.recorded
     children = []
     for parent in parents:
-        key = parent.key + (site,)
-        if len(key) > limit:
+        depth = parent.depth + 1
+        if depth > limit:
             state.fail(
-                ExecutionError(f"recursion depth {len(key)} exceeds limit {limit}"),
+                ExecutionError(f"recursion depth {depth} exceeds limit {limit}"),
                 parent, nid,
             )
             return
@@ -374,7 +381,21 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, site: int, mappe
         values = template.copy()
         for slot, i in own:
             values[slot] = pvals[i]
-        children.append(_Frame(body, key, values, parent, nid, mapper, inst))
+        child = _Frame(body, values, parent, nid, site, depth, mapper, inst)
+        if state.tracing:
+            child.path = f"{parent.path}/{site}" if parent.parent else str(site)
+        if fwd_site is not None:
+            fwd = (parent.children or {}).pop(fwd_site, None)
+            if fwd is None:
+                msg = f"forward/backward mismatch: no forward frame for call site {site}"
+                state.fail(ExecutionError(msg), parent, nid)
+                return
+            for slot, i in body.fwd_slots:
+                values[slot] = fwd.values[i]
+            child.children = fwd.children
+        elif record:
+            parent.children[nid] = child
+        children.append(child)
         inst.frames[name] = inst.frames.get(name, 0) + 1
     ready = state.ready
     for r in body.initial_ready:
@@ -389,49 +410,40 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, site: int, mappe
 
 
 def _run_invoke(state, body, nid, frames):
-    name, _, site = body.payloads[nid]
-    _spawn(state, name, frames, nid, body.inputs[nid], site)
+    name, _, fwd_site = body.payloads[nid]
+    _spawn(state, name, frames, nid, body.inputs[nid], fwd_site)
 
 
 def _run_cond(state, body, nid, frames):
-    tname, ename, ct, ce, record = body.payloads[nid]
+    tname, ename, ct, ce = body.payloads[nid]
     ids = body.inputs[nid]
     n_args = len(ids) - 1 - ct - ce
     arg_ids = ids[1 : 1 + n_args]
     taken = ([], [])  # parents on the else / then branch
     for f in frames:
-        pred = _truthy(f.values[ids[0]])
-        if record:
-            try:
-                f.inst.cache.write(f.key, nid, "branch", 1 if pred else 0)
-            except ExecutionError as exc:
-                state.fail(exc, f, nid)
-                return
-        taken[pred].append(f)
+        taken[_truthy(f.values[ids[0]])].append(f)
     if taken[1]:
-        _spawn(state, tname, taken[1], nid, arg_ids + ids[1 + n_args : 1 + n_args + ct], nid)
+        _spawn(state, tname, taken[1], nid, arg_ids + ids[1 + n_args : 1 + n_args + ct])
     if taken[0] and state.error is None:
-        _spawn(state, ename, taken[0], nid, arg_ids + ids[1 + n_args + ct :], nid)
+        _spawn(state, ename, taken[0], nid, arg_ids + ids[1 + n_args + ct :])
 
 
 def _run_cond_grad(state, body, nid, frames):
-    """Replay, per frame, the branch that the mirrored forward cond took."""
+    """Run, per frame, the gradient of the branch that the mirrored forward
+    cond ran."""
     p = body.payloads[nid]
     ids = body.inputs[nid]
     ct, ce = p.cap_counts
     n_up = len(ids) - ct - ce
+    then_fwd = state.g.bodies[p.then_name].mirrors
     taken = ([], [])  # parents on the else / then branch
     for f in frames:
-        try:
-            taken[f.inst.cache.read(f.key, p.cond_site, "branch")].append(f)
-        except ExecutionError:
-            state.fail(
-                ExecutionError(
-                    f"forward/backward mismatch: no branch record for node {p.cond_site}"
-                ),
-                f, nid,
-            )
+        child = (f.children or {}).get(p.cond_site)
+        if child is None:
+            msg = f"forward/backward mismatch: no branch record for node {p.cond_site}"
+            state.fail(ExecutionError(msg), f, nid)
             return
+        taken[child.body.label == then_fwd].append(f)
     ups = ids[:n_up]
     for rec, name, caps, slots in (
         (1, p.then_name, ids[n_up : n_up + ct], p.then_slots),
@@ -501,24 +513,9 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _run_cond_grad(state, body, nid, frames)
     elif kind == "sink_add":
         _run_sink_add(state, body, nid, frames)
-    else:
-        ins = body.inputs[nid]
+    else:  # grad_out
         payload = body.payloads[nid]
-        outs = []
-        for f in frames:
-            inst = f.inst
-            try:
-                if kind == "cache_write":
-                    inst.cache.write(f.key, payload, "val", f.values[ins[0]])
-                    outs.append(None)
-                elif kind == "cache_read":
-                    outs.append(inst.cache.read(f.key, payload[0], "val"))
-                else:  # grad_out
-                    outs.append(_sink_read(inst.sink, *payload))
-            except ExecutionError as exc:
-                state.fail(exc, f, nid)
-                return
-        _settle(state, body, nid, frames, outs)
+        _settle(state, body, nid, frames, [_sink_read(f.inst.sink, *payload) for f in frames])
 
 
 # -- kernel groups (any thread) --------------------------------------------
@@ -564,7 +561,7 @@ def _unresolved(body, nid: int, frames):
             if f.values[i] is _PENDING:
                 return ExecutionError(
                     f"scheduling bug: node {nid} ran before input {i} "
-                    f"resolved at key {_key_str(f.key)}"
+                    f"resolved at key {_key_str(f)}"
                 ), f
     return None
 
@@ -736,7 +733,7 @@ def run_batch(
 
     The frames of every instance that are ready at the same node in one
     round share a group, so a batch of narrow trees still fills stacked
-    kernels. Each instance keeps its own invocation keys and value cache;
+    kernels. Each instance keeps its own frames and gradient sink;
     parameters are shared. Results for an instance depend only on the graph
     and the batch it is run in, never on the thread count. Every result
     carries the whole batch's peak concurrency and trace.
@@ -766,7 +763,8 @@ def run_batch(
     tops = []
     for feeds in feed_list:
         values = _template(top)
-        frame = _Frame(top, (), values, None, -1, None, _Instance())
+        frame = _Frame(top, values, None, -1, None, 0, None, _Instance())
+        frame.path = "-"
         by_name = {}
         for h, v in feeds.items():
             name = h.payload if hasattr(h, "payload") else h
@@ -813,9 +811,7 @@ def run_batch(
             t.join()
     if state.error is not None:
         exc, key, nid, kind = state.error
-        raise ExecutionError(
-            f"node {nid} ({kind}) at key {_key_str(key)}: {exc}"
-        ) from exc
+        raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
     results = []
     for frame in tops:
         values = frame.values

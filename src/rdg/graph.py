@@ -162,7 +162,7 @@ class Graph:
         self.capture_map: dict[tuple[int, int], int] = {}  # (outer graph id, node id) -> proxy
         self.capture_order: list[NodeHandle] = []
         self.arg_ids: list[int] = []
-        self.is_grad = False
+        self.mirrors: str | None = None  # a gradient body's forward SubGraph
         if parent is None:
             self.registry: dict[str, SubGraphDef] = {}
             self.declared_order: list[str] = []
@@ -347,15 +347,7 @@ class Graph:
             if not isinstance(t, TableShape):
                 raise BuildError(f"table_zero_slot needs a row table, got {t}")
             return t
-        if kind == "after":
-            # Pass-through of input 0 that additionally waits for input 1;
-            # sequences a backward call after its forward call has returned.
-            need(2)
-            return shapes[0]
-        if kind == "cache_read":  # the value node payload[0] cached under the frame's key
-            need(0)
-            return payload[1]
-        if kind in ("cache_write", "sink_add"):
+        if kind == "sink_add":
             need(1)
             return None
         if kind == "grad_out":  # the sink entry of top-level node payload[0]
@@ -492,9 +484,9 @@ class Graph:
     def invoke(
         self, ref: SubGraphRef, args: Sequence[NodeHandle], site: int | None = None
     ) -> list[NodeHandle]:
-        """Call `ref`. Its frame's invocation key is the caller's plus `site`,
-        by default this call's node id; a gradient call passes the id of the
-        forward call it mirrors, so that its frame runs under that call's key."""
+        """Call `ref`. A gradient call passes as `site` the id of the forward
+        call it mirrors: its frame then reads the forward frame that call
+        spawned in the caller's forward frame."""
         self._check_mutable()
         d = self.registry[ref.name]
         self._check_args(ref.name, d, args)
@@ -597,7 +589,6 @@ class Graph:
 
     def _wire_captures(self):
         """Append capture operands to every invoke/cond in canonical order."""
-        record = bool(getattr(self, "record_branches", False))
         graphs = [self] + [self.registry[n].body for n in self.declared_order]
         for g in graphs:
             for node in g.nodes:
@@ -619,10 +610,10 @@ class Graph:
                 node.inputs = node.inputs + extra
                 if node.kind == "invoke":
                     p = node.payload
-                    name, site = (p, node.id) if isinstance(p, str) else p
+                    name, site = (p, None) if isinstance(p, str) else p
                     node.payload = (name, counts[0], site)
                 elif node.kind == "cond":
-                    node.payload = (*node.payload, counts[0], counts[1], record)
+                    node.payload = (*node.payload, counts[0], counts[1])
                 elif node.kind == "cond_grad":
                     node.payload = node.payload._replace(cap_counts=tuple(counts))
 
@@ -689,9 +680,9 @@ def _kind_str(n: Node) -> str:
         return f"cond[{p[0]},{p[1]}]"
     if k == "cond_grad":
         return f"cond_grad[{p.then_name},{p.else_name}]"
-    if k in ("cache_write", "sink_add"):
+    if k in ("fwd_value", "sink_add"):
         return f"{k}[{p}]"
-    if k in ("cache_read", "grad_out"):
+    if k == "grad_out":
         return f"{k}[{p[0]}]"
     if k == "scatter_row":
         return f"scatter_row[{_shape_str(p)}]"
@@ -731,6 +722,13 @@ def _check_dag(g: Graph):
         raise BuildError(f"node-level cycle through nodes {cyclic} in {g.label!r}")
 
 
+def _mirrored_site(node: Node) -> int | None:
+    """The forward call site that a gradient call mirrors, else None."""
+    if node.kind == "cond_grad":
+        return node.payload.cond_site
+    return node.payload[2] if node.kind == "invoke" else None
+
+
 class CondGradPayload(NamedTuple):
     cond_site: int
     then_name: str
@@ -748,11 +746,23 @@ class FinalizedGraph:
     def __init__(self, g: Graph):
         self.graph = g
         self.from_differentiate = getattr(g, "from_differentiate", False)
-        self.bodies: dict[str, CompiledBody] = {}
-        self.top = CompiledBody(g, is_top=True)
-        for name in g.declared_order:
-            d = g.registry[name]
-            self.bodies[name] = CompiledBody(d.body, is_top=False)
+        graphs = [g] + [g.registry[name].body for name in g.declared_order]
+        # per forward graph: the node ids its gradient reads, and the call
+        # sites that gradient calls mirror
+        mirrored = {id(h): (set(), set()) for h in graphs}
+        for h in graphs:
+            fwd = h if h.mirrors is None else g.registry[h.mirrors].body
+            reads, sites = mirrored[id(fwd)]
+            for nd in h.nodes:
+                if nd.kind == "fwd_value":
+                    reads.add(nd.payload)
+                elif _mirrored_site(nd) is not None:
+                    sites.add(_mirrored_site(nd))
+        self.top = CompiledBody(g, True, *mirrored[id(g)])
+        self.bodies: dict[str, CompiledBody] = {
+            name: CompiledBody(h, False, *mirrored[id(h)])
+            for name, h in zip(g.declared_order, graphs[1:])
+        }
 
     def dump(self) -> str:
         return self.graph.dump()
@@ -783,14 +793,25 @@ class CompiledBody:
         "run_wide",
         "stack_only",
         "n_nodes",
+        "mirrors",
+        "fwd_slots",
+        "keep",
+        "recorded",
     )
 
-    def __init__(self, g: Graph, is_top: bool):
+    def __init__(self, g: Graph, is_top: bool, reads=(), sites=()):
         from . import kernels  # local import to avoid a cycle
 
         n = len(g.nodes)
         self.label = g.label
         self.n_nodes = n
+        self.mirrors = g.mirrors
+        # (slot, forward node id) for the slots a gradient frame fills from
+        # its forward frame; what a completed forward frame keeps for them;
+        # and the call sites whose child frames a gradient call will pop
+        self.fwd_slots = [(nd.id, nd.payload) for nd in g.nodes if nd.kind == "fwd_value"]
+        self.keep = tuple(reads)
+        self.recorded = frozenset(sites)
         self.kinds = [nd.kind for nd in g.nodes]
         self.payloads = [nd.payload for nd in g.nodes]
         self.inputs = [tuple(nd.inputs) for nd in g.nodes]
@@ -798,7 +819,7 @@ class CompiledBody:
             g.capture_map[(id(h.graph), h.id)] for h in g.capture_order
         ]
         preset_kinds = {"const", "none_const"}
-        initial = set(self.arg_slots)
+        initial = set(self.arg_slots) | {slot for slot, _ in self.fwd_slots}
         self.preset = []
         self.placeholders = []
         self.parameters = []
@@ -827,7 +848,11 @@ class CompiledBody:
         deps: list[list[int]] = [[] for _ in range(n)]
         pending = [0] * n
         for nd in g.nodes:
-            for i in nd.inputs:
+            ins = nd.inputs
+            site = _mirrored_site(nd) if is_top else None
+            if site is not None and site < n:  # also wait for the mirrored forward call
+                ins = ins + [site]
+            for i in ins:
                 deps[i].append(nd.id)
                 if i not in initial:
                     pending[nd.id] += 1
@@ -860,15 +885,15 @@ class CompiledBody:
         self.kernels, self.batched, self.work = kernels.compile_body(g)
         batched = self.batched
         # per computed node: the dependents that wait on it alone, and the
-        # others; and whether it is stack-only, read only by batched kernels
-        # that wait on it alone: such a reader's group holds exactly the
-        # frames of the group that produced the value, in the same order, so
-        # a batched result can stay one stack that every frame holds, with no
-        # per-frame views
+        # others; and whether it is stack-only, read by no gradient and only
+        # by batched kernels that wait on it alone: such a reader's group
+        # holds exactly the frames of the group that produced the value, in
+        # the same order, so a batched result can stay one stack that every
+        # frame holds, with no per-frame views
         self.sole_dependents = [()] * n
         self.joint_dependents = [()] * n
         self.stack_only = [False] * n
-        outputs = set(g.outputs)
+        held = set(g.outputs).union(reads)
         for i, ds in enumerate(deps):
             if not ds or i in initial:
                 continue
@@ -876,5 +901,5 @@ class CompiledBody:
             self.sole_dependents[i] = sole
             if len(sole) < len(ds):
                 self.joint_dependents[i] = tuple([d for d in ds if pending[d] != 1])
-            elif not is_top and batched[i] is not None and i not in outputs:
+            elif not is_top and batched[i] is not None and i not in held:
                 self.stack_only[i] = all([batched[d] is not None for d in ds])

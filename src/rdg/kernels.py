@@ -1,12 +1,14 @@
 """Per-node compute closures, compiled once at finalize.
 
 Each kernel maps the frame's value list to the node's value. Control kinds
-(invoke, cond, cond_grad, cache reads/writes, the gradient sink's adds and
-reads) have no kernel here; the scheduler interprets those. Nodes created by
-gradient synthesis are compiled in a None-propagating variant: a None
-operand means "no gradient flows", and the node's result is then None as
-well. Forward nodes stay strict, so a missing value in a forward body fails
-loudly instead of leaking None.
+(invoke, cond, cond_grad, the gradient sink's adds and reads) have no kernel
+here; the scheduler interprets those. Init kinds (arguments, captures,
+constants, and the forward values a gradient frame reads from the forward
+frame it mirrors) have none either: their values are set when the frame is
+created. Nodes created by gradient synthesis are compiled in a
+None-propagating variant: a None operand means "no gradient flows", and the
+node's result is then None as well. Forward nodes stay strict, so a missing
+value in a forward body fails loudly instead of leaking None.
 
 The maths kinds also get a batched variant (see `compile_body`), which the
 scheduler runs once for a group of k frames at the same node. Its operands
@@ -29,14 +31,12 @@ import numpy as np
 from .tensor import Tensor, index_value, softmax_cross_entropy
 from . import graph as _g
 
-CONTROL_KINDS = frozenset(
-    {"invoke", "cond", "cond_grad", "cache_read", "cache_write", "sink_add", "grad_out"}
-)
+CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "sink_add", "grad_out"})
 # Kernels that only move or sum values the frame already holds: they have no
 # batched variant and are never worth handing to another thread.
-PLUMBING_KINDS = frozenset({"select", "after", "grad_accum"})
+PLUMBING_KINDS = frozenset({"select", "grad_accum"})
 INIT_KINDS = frozenset(
-    {"const", "none_const", "input", "capture", "placeholder", "parameter"}
+    {"const", "none_const", "input", "capture", "fwd_value", "placeholder", "parameter"}
 )
 
 _W = Tensor._wrap
@@ -196,9 +196,6 @@ def _build_strict(node):
             return t.set(int(index_value(v[b])), zcol)
 
         return tzero
-    if k == "after":
-        a = ins[0]
-        return lambda v: v[a]
     if k == "select":
         (a,) = ins
         idx = node.payload
@@ -258,7 +255,7 @@ def compile_body(g) -> tuple[list, list, list]:
         if node.kind in CONTROL_KINDS or node.kind in INIT_KINDS:
             continue
         fn = _build_strict(node)
-        if (g.is_grad or node.grad_flag) and node.kind not in _CUSTOM_NONE:
+        if (g.mirrors is not None or node.grad_flag) and node.kind not in _CUSTOM_NONE:
             fn = _none_prop(fn, tuple(node.inputs))
         fns[node.id] = fn
         if node.kind not in PLUMBING_KINDS:

@@ -1,7 +1,7 @@
 """AdaGrad training loop, evaluation, and a gradient-checking harness.
 
 A batch of `batch_size` instances runs as one `run_batch` wavefront: each
-instance keeps its own feeds, invocation keys and value cache, and their
+instance keeps its own feeds, frames and gradient sink, and their
 frames ready at the same node share one stacked kernel. Gradients come back
 per instance and are summed in batch order, and the optimizer update runs
 between steps on the calling thread. Which frames share a kernel follows

@@ -203,7 +203,7 @@ class TestCriterion5SchedulerStress:
             5, "scheduler stress",
             ok,
             f"1000 random trees, paired runs at random thread counts 1-16, "
-            f"cache write/read checks on: worst cross-thread delta {worst:.1e} "
+            f"debug checks on: worst cross-thread delta {worst:.1e} "
             f"(<= 1e-9), {elapsed:.0f}s, no deadlock",
         )
         assert ok, line

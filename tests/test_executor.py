@@ -1,5 +1,7 @@
-"""Scheduler behavior: overlap, determinism, frames, cache, error context."""
+"""Scheduler behavior: overlap, determinism, frames, forward-frame pairing,
+error context."""
 
+import gc
 import re
 import threading
 import time
@@ -10,11 +12,10 @@ import numpy as np
 import pytest
 
 from rdg import (
-    ExecutionError, Graph, RunOptions, Tensor, differentiate, kernels, run, run_batch,
+    ExecutionError, Graph, RunOptions, Tensor, differentiate, executor, kernels, run, run_batch,
 )
 from rdg.data import generate_synthetic
-from rdg.executor import ValueCache
-from rdg.graph import Node, Shape
+from rdg.graph import Node
 from rdg.models import ModelConfig, build_recursive, init_params, make_feeds
 from rdg.oracle import oracle_forward, oracle_forward_backward
 
@@ -451,7 +452,7 @@ def _dense(v):
 class TestRunBatch:
     def test_instances_match_single_runs_and_the_oracle(self):
         # Trees of different shapes and sizes share one wavefront; each
-        # instance keeps its own keys and cache, so its loss and gradients
+        # instance keeps its own frames and sink, so its loss and gradients
         # match a run of its own and the oracle at the library tolerances.
         g, gm, params, trees, feeds, fetches = _mixed_batch(4)
         batch = run_batch(g, feeds, fetches, RunOptions(), params)
@@ -538,107 +539,68 @@ class TestRunBatch:
 
 
 class TestCache:
-    def test_round_trip_within_run(self):
-        g = Graph()
-        src = g.constant(Tensor.scalar(5.0))
-        g.add_node("cache_write", (src,), payload=src.id)
-        rd = g.add_node("cache_read", (), payload=(src.id, Shape(1, 1)))
-        fg = g.finalize()
-        res = run(fg, {}, [rd], RunOptions(threads=1))
-        assert res.values[0].item() == 5.0
-
-    def test_missing_entry_is_backward_before_forward(self):
-        g = Graph()
-        rd = g.add_node("cache_read", (), payload=(0, Shape(1, 1)))  # nothing was written
-        fg = g.finalize()
-        with pytest.raises(ExecutionError, match="backward before forward"):
-            run(fg, {}, [rd], RunOptions(threads=1))
-
-    def test_duplicate_write_detected(self):
-        g = Graph()
-        src = g.constant(Tensor.scalar(5.0))
-        g.add_node("cache_write", (src,), payload=src.id)
-        g.add_node("cache_write", (src,), payload=src.id)
-        sink = g.neg(src)
-        fg = g.finalize()
-        with pytest.raises(ExecutionError, match="duplicate cache write"):
-            run(fg, {}, [sink], RunOptions(threads=1))
+    """Gradient frames read forward values from the forward frame they
+    mirror, which each forward call site records for its gradient call."""
 
     def test_sibling_frames_write_same_node_id(self):
-        # two invocations of one subgraph, each caching its own input
+        # one subgraph called at two sibling sites: its frames hold values at
+        # the same node ids, and each site's gradient must read its own
         g = Graph()
         f = g.declare_subgraph("F", *scalar_sig())
         fb = g.body(f)
         (a,) = fb.args
-        fb.add_node("cache_write", (a,), payload=a.id)
-        fb.set_outputs([fb.neg(a)])
+        fb.set_outputs([fb.hadamard(fb.square(a), a)])  # a^3
         g.define_subgraph(f, fb)
         x = g.placeholder((1, 1), "x")
+        u = g.placeholder((1, 1), "u")
         (y1,) = g.invoke(f, [x])
-        (y2,) = g.invoke(f, [g.neg(x)])
-        out = g.add(y1, y2)
+        (y2,) = g.invoke(f, [u])
+        for _ in range(8):  # delay the first site's gradient past the second's
+            y1 = g.neg(y1)
+        loss = g.add(y1, y2)
+        gfin, gm = differentiate(g.finalize(), loss, [x, u])
+        feeds = {"x": Tensor.scalar(2.0), "u": Tensor.scalar(-3.0)}
+        fetches = [gm.param_grads["x"], gm.param_grads["u"]]
+        for threads in (1, 4):
+            res = run(gfin, feeds, fetches, RunOptions(threads=threads))
+            assert [v.item() for v in res.values] == [12.0, 27.0]  # 3x^2, 3u^2
+
+    def test_second_gradient_call_for_one_forward_call_fails(self):
+        g = Graph()
+        f = g.declare_subgraph("F", *scalar_sig())
+        fb = g.body(f)
+        fb.set_outputs([fb.neg(fb.args[0])])
+        g.define_subgraph(f, fb)
+        x = g.placeholder((1, 1), "x")
+        (y,) = g.invoke(f, [x])
+        (a,) = g.invoke(f, [x], site=y.id)  # both mirror the call that made y
+        (b,) = g.invoke(f, [x], site=y.id)
         fg = g.finalize()
-        res = run(fg, {"x": Tensor.scalar(3.0)}, [out], RunOptions(threads=4))
-        assert res.values[0].item() == 0.0
+        with pytest.raises(ExecutionError, match="mismatch: no forward frame for call site"):
+            run(fg, {"x": Tensor.scalar(1.0)}, [a, b])
 
-    def test_concurrent_stress_all_reads_observe_writes(self):
-        cache = ValueCache()
-        n_threads, n_keys = 8, 1000
-        errs = []
-
-        def worker(tid):
-            try:
-                for k in range(n_keys):
-                    cache.write((tid, k), 0, "val", (tid, k))
-                for k in range(n_keys):
-                    assert cache.read((tid, k), 0, "val") == (tid, k)
-            except Exception as e:  # noqa: BLE001
-                errs.append(e)
-
-        ts = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert not errs
-        assert len(cache) == n_threads * n_keys
-        for tid in range(n_threads):
-            for k in range(n_keys):
-                assert cache.read((tid, k), 0, "val") == (tid, k)
-
-    def test_write_once_under_contention(self):
-        cache = ValueCache()
-        failures = []
-
-        def worker(tid):
-            try:
-                cache.write((), 7, "val", tid)
-            except ExecutionError:
-                failures.append(tid)
-
-        ts = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert len(failures) == 7  # exactly one writer wins
-
-    def test_cache_released_after_run(self):
+    def test_cache_released_after_run(self, monkeypatch):
+        # with the cycle collector off, every forward frame of a
+        # differentiated run is gone once the run returns
         g, x, y = build_countdown()
-        fg = g.finalize()
-        holder = {}
-        orig_init = ValueCache.__init__
+        gfin, gm = differentiate(g.finalize(), y, [x])
+        refs = []
+        orig_init = executor._Frame.__init__
 
-        def spy(self):
-            orig_init(self)
-            holder["ref"] = weakref.ref(self)
+        def spy(self, body, *args):
+            orig_init(self, body, *args)
+            if body.mirrors is None:
+                refs.append(weakref.ref(self))
 
-        ValueCache.__init__ = spy
+        monkeypatch.setattr(executor._Frame, "__init__", spy)
+        gc.disable()
         try:
-            run(fg, {"x": Tensor.scalar(5.0)}, [y])
+            res = run(gfin, {"x": Tensor.scalar(3.0)}, [gm.loss, gm.param_grads["x"]])
         finally:
-            ValueCache.__init__ = orig_init
-        assert holder["ref"]() is None  # nothing retains the run's cache
+            gc.enable()
+        assert [v.item() for v in res.values] == [6.0, 11.0]  # x(x-1)(x-2), its derivative
+        assert len(refs) == 9  # top, four F, three Step and one Base
+        assert all(r() is None for r in refs)
 
 
 class TestTrace:
@@ -658,6 +620,17 @@ class TestTrace:
         for ts, wid, *_ in res.trace:
             assert by_worker.get(wid, 0) <= ts
             by_worker[wid] = ts
+
+    def test_gradient_frame_key_is_its_forward_frame_key(self):
+        g, x, y = build_countdown()
+        gfin, gm = differentiate(g.finalize(), y, [x])
+        res = run(gfin, {"x": Tensor.scalar(3.0)}, [gm.param_grads["x"]], RunOptions(trace=True))
+
+        def keys(op):
+            return sorted(key for _, _, key, _, label in res.trace if label == op)
+
+        assert len(keys("cond[Step,Base]")) == 4
+        assert keys("cond_grad") == keys("cond[Step,Base]")
 
     def test_trace_off_by_default(self):
         g, x, y = build_countdown()

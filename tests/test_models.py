@@ -466,7 +466,25 @@ class TestGradientGraph:
         tree = generate_synthetic("balanced", 64, 20, 2, np.random.default_rng(0))
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
         res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
-        assert len(res.trace) <= 11_000  # one row per executed (frame, node)
+        assert len(res.trace) <= 8_000  # one row per executed (frame, node)
+
+    def test_deepest_linear_tree_the_depth_guard_admits(self):
+        # 256 leaves in a line: the deepest forward and gradient frames are
+        # 512 call sites below the top, the default limit, and each gradient
+        # frame must be paired with its own forward frame
+        cfg = ModelConfig("treernn", d=4, vocab=12, classes=3)
+        rec = build_recursive(cfg)
+        params = init_params(cfg, seed=5, scale=0.3)
+        g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
+        tree = generate_synthetic("linear", 256, 11, 3, np.random.default_rng(4))
+        loss, grads = run_training_step(
+            g, gm, make_feeds(rec, tree), params, RunOptions(threads=1)
+        )
+        want_loss, want = oracle_forward_backward("treernn", params, tree)
+        assert abs(loss - want_loss) < 1e-9
+        for name in params:
+            scale = max(1.0, float(np.abs(want[name]).max()))
+            assert np.abs(_dense(grads[name]) - want[name]).max() / scale < 1e-7, name
 
 
 class TestConfigAndCheckpoint:
