@@ -1,36 +1,38 @@
-"""Parallel graph runtime: wavefront rounds of batched node groups.
+"""Parallel graph runtime: wavefront rounds of batched units.
 
-A run advances in rounds. The nodes that became ready during round r (their
-last input resolved) run in round r+1. Within a round, the ready (frame,
-node) pairs that share a body and a node id form one group, and a group of
-k frames runs as one stacked numpy kernel over the k per-frame values (the
-batched variants in `kernels.py`): all `Leaf` frames at one depth, say, or
-all `Internal` frames whose children returned together. A group's result
-stays one read-only stacked array. Each frame's value is a view of its
-slice, except where only batched kernels over the same frames read it
-(`CompiledBody.stack_only`): there every frame holds the stack itself, and
-a consumer that has to run frame by frame makes the views then. Groups of
-fewer than `_BATCH_MIN` frames run the per-frame kernels. Independent
-subtrees thus cost one kernel call per level rather than one per node,
-which is how the recursive form turns a wide frontier into less work even
-where a global interpreter lock serialises small numpy ops.
+At finalize each body is cut into units (`CompiledBody`): every control
+node (invoke, cond, cond_grad, sink_add, grad_out) is one, and the compute
+nodes that hang off the same set of control nodes form one segment, a
+straight-line piece of the body. A run advances in rounds. The units that
+became ready during round r (their last input unit ran) run in round r+1.
+Within a round, the ready (frame, unit) pairs that share a body and a unit
+form one group: all `Leaf` frames at one depth, say, or all `Internal`
+frames whose children returned together. A segment runs for its group in
+one call, member by member in waves of independent members. From
+`_BATCH_MIN` frames up each member runs as one stacked numpy kernel over the
+k per-frame values (the batched variants in `kernels.py`), and its result
+stays one read-only stack; frames get views of it only where something
+outside the segment reads it. Smaller groups run the per-frame kernels.
+Independent subtrees thus cost one call per segment and level rather than
+one per node and frame, which is how the recursive form turns a wide
+frontier into less work even where a global interpreter lock serialises
+small numpy ops.
 
 `run_batch` runs several instances of a graph in one wavefront: their
-frames at the same node share groups, so a batch of narrow trees fills the
+frames at the same unit share groups, so a batch of narrow trees fills the
 stacked kernels that one wide tree fills on its own. Each instance keeps its
 own top frame, gradient sink and fetches; `run` is a batch of one.
 
 The thread that called `run` owns all bookkeeping: it forms the groups,
-records results, counts down dependents, expands control nodes, and returns
-finished frames to their parents. Only kernel computation is handed out:
-when a round holds more than one group whose estimated work outweighs a
-thread handoff (large matrix products, stalls), and the run has more than
-one thread, those groups are shared among the run's worker threads, which
-start the first time a round needs them, so slow kernels at different nodes
-overlap. Smaller kernels run where they are, since they hold the interpreter
-lock throughout and cannot overlap anyway. Group composition and order
-follow from the graph and the inputs alone, never from which worker
-finished first, so results are bit-identical for every thread count.
+counts down dependents, expands control nodes, and returns finished frames
+to their parents. Only kernel computation is handed out: with more than one
+thread, the members of a wave whose estimated work outweighs a thread
+handoff (large matrix products, stalls) are shared among the run's worker
+threads, which start the first time a segment needs them. Smaller kernels
+run where they are, since they hold the interpreter lock throughout. Group
+composition and order follow from the graph and the inputs alone, never
+from which worker finished first, so results are bit-identical for every
+thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
 join the next round, and register the parent node as the child's return
@@ -60,12 +62,14 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from queue import Empty, SimpleQueue
 
 import numpy as np
 
 from .graph import FinalizedGraph, NodeHandle, Shape
-from .kernels import CONTROL_KINDS, add_grads
+from .kernels import add_grads
 from .tensor import Tensor
 
 _PENDING = object()
@@ -78,9 +82,10 @@ _STOP = object()
 #   top levels, were 5-10% faster with the cut-over at 8 than at 4;
 # - end-to-end training and inference did not move between 4 and 8.
 _BATCH_MIN = 8
-# Estimated multiply-adds (see kernels.compile_body) above which a group is
-# worth handing to another thread; below it the handoff costs more than the
-# kernel, which holds the interpreter lock throughout anyway.
+# Estimated multiply-adds (see kernels.compile_body) of a segment member over
+# its group above which it is worth handing to another thread; below it the
+# handoff costs more than the kernel, which holds the interpreter lock
+# throughout anyway.
 _OFFLOAD_WORK = float(1 << 20)
 
 
@@ -96,7 +101,7 @@ class RunOptions:
     - `max_recursion_depth`: the most call sites above a frame. Each `invoke` and
       each `cond` counts one, so the bundled tree models spend two per tree level
       and the default admits linear trees of up to 256 leaves.
-    - `debug`: check that each node's inputs are resolved before it runs.
+    - `debug`: check that each unit's inputs are resolved before it runs.
     - `instrument`: record `RunResult.peak_concurrency`.
     - `trace`: record `RunResult.trace`, as the environment's `RDG_TRACE=1` does.
     - `timeout_s`: the most wall-clock seconds a run may take.
@@ -116,10 +121,10 @@ class RunResult:
 
     `frames` counts the frames created per body name. `peak_concurrency`
     (recorded only with `RunOptions(instrument=True)`) is the largest number
-    of node instances that had kernels in flight at once, summed over the
-    run's threads; a group of k frames counts as k while its kernels run,
-    stacked or frame by frame. `trace` holds one row per executed (frame, node) when
-    tracing is on.
+    of (frame, node) pairs whose kernels were in flight at once, summed over
+    the run's threads: a segment member computing for a group of k frames
+    counts k, stacked or frame by frame. `trace` holds one row per executed
+    (frame, node) when tracing is on, in time order.
     """
 
     values: list
@@ -191,39 +196,28 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "g",
-        "top",
-        "opts",
-        "lock",
-        "error",
-        "watched",
-        "open",
-        "ready",
-        "queue",
-        "workers",
-        "in_flight",
-        "peak",
-        "trace",
-        "tracing",
+        "g", "top", "opts", "lock", "error", "watched", "open", "ready", "queue", "workers",
+        "in_flight", "peak", "traces", "tracing",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
         self.g = g
         self.top = g.top
         self.opts = opts
-        self.lock = threading.Lock()  # guards in_flight/peak/trace across workers
+        self.lock = threading.Lock()  # guards in_flight/peak across threads
         self.error: tuple | None = None
         self.watched: set[int] = set()
         self.open = 0  # instances with fetches still unresolved
-        # (body, node id) -> frames ready there for the next round, in the
+        # (body, unit) -> frames ready there for the next round, in the
         # order the scheduler thread readied them
         self.ready: dict = {}
         self.queue: SimpleQueue = SimpleQueue()
         self.workers: list[threading.Thread] = []
         self.in_flight = 0
         self.peak = 0
-        self.trace: list[tuple] = []
         self.tracing = opts.trace or os.environ.get("RDG_TRACE") == "1"
+        # trace rows per thread, each appended to by its thread only
+        self.traces: list[list] = [[] for _ in range(opts.threads)] if self.tracing else []
 
     def fail(self, exc: BaseException, frame: _Frame, nid: int):
         if self.error is None:
@@ -232,9 +226,7 @@ class _RunState:
     def record(self, wid: int, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
-        rows = [(ts, wid, f.path, nid, label) for f in frames]
-        with self.lock:
-            self.trace.extend(rows)
+        self.traces[wid].extend([(ts, wid, f.path, nid, label) for f in frames])
 
 
 def _truthy(t: Tensor) -> bool:
@@ -257,8 +249,9 @@ def _op_label(body, nid: int) -> str:
 # -- bookkeeping (scheduler thread only) -----------------------------------
 
 
-def _settle(state: _RunState, body, nid: int, frames, outs):
-    """Record a node's values for a group of frames and propagate readiness.
+def _settle(state: _RunState, body, u: int, frames, outs=None):
+    """Propagate readiness once unit u has run for a group of frames; `outs`
+    holds each frame's value of a control node.
 
     Dependents whose last input this was join the next round. Frames whose
     outputs are now complete return their value to the parent's call node,
@@ -270,18 +263,21 @@ def _settle(state: _RunState, body, nid: int, frames, outs):
     ready = state.ready
     work = []
     while True:
-        for d in body.sole_dependents[nid]:  # now ready in every frame
+        if outs is not None:
+            nid = body.unit_nodes[u][0]
+            for f, v in zip(frames, outs):
+                f.values[nid] = v
+        for d in body.sole_dependents[u]:  # now ready in every frame
             lst = ready.get((body, d))
             if lst is None:
                 ready[(body, d)] = list(frames)
             else:
                 lst.extend(frames)
-        joint = body.joint_dependents[nid]  # these count down per frame
-        completes = body.completion_mask[nid]
+        joint = body.joint_dependents[u]  # these count down per frame
+        completes = body.completion_mask[u]
         done = None
-        for f, v in zip(frames, outs):
-            f.values[nid] = v
-            if joint:
+        if joint or completes:
+            for f in frames:
                 p = f.pending
                 for d in joint:
                     p[d] -= 1
@@ -291,16 +287,17 @@ def _settle(state: _RunState, body, nid: int, frames, outs):
                             ready[(body, d)] = [f]
                         else:
                             lst.append(f)
-            if completes:
-                f.remaining -= 1
-                if not f.remaining:
-                    if done is None:
-                        done = [f]
-                    else:
-                        done.append(f)
-        if body is state.top and nid in state.watched:
+                if completes:
+                    f.remaining -= 1
+                    if not f.remaining:
+                        if done is None:
+                            done = [f]
+                        else:
+                            done.append(f)
+        fetched = body is state.top and sum(m in state.watched for m in body.unit_nodes[u])
+        if fetched:
             for f in frames:
-                f.inst.fetch_remaining -= 1
+                f.inst.fetch_remaining -= fetched
                 if not f.inst.fetch_remaining:
                     state.open -= 1
         if done is not None:
@@ -318,10 +315,10 @@ def _settle(state: _RunState, body, nid: int, frames, outs):
                     f.values = {i: vals[i] for i in f.body.keep}
                     f.pending = f.parent = f.mapper = None
             for (pbody, rnode), (parents, values) in reversed(returns.items()):
-                work.append((pbody, rnode, parents, values))
+                work.append((pbody, pbody.unit_of[rnode], parents, values))
         if not work:
             return
-        body, nid, frames, outs = work.pop()
+        body, u, frames, outs = work.pop()
 
 
 def _frame_value(f: _Frame):
@@ -406,7 +403,8 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, m
             lst.extend(children)
     if not body.completion_total:
         # every output is an argument or a constant: the call is complete
-        _settle(state, parents[0].body, nid, parents, [_frame_value(f) for f in children])
+        pbody = parents[0].body
+        _settle(state, pbody, pbody.unit_of[nid], parents, [_frame_value(f) for f in children])
 
 
 def _run_invoke(state, body, nid, frames):
@@ -469,11 +467,7 @@ def _run_sink_add(state, body, nid: int, frames):
     added, so a gradient frame that waits on its callees does not keep it."""
     (src,) = body.inputs[nid]
     top_id = body.payloads[nid]
-    drop = (
-        body.sole_dependents[src] == (nid,)
-        and not body.joint_dependents[src]
-        and src not in body.outputs
-    )
+    drop = nid in body.sink_drops
     for f in frames:
         v = f.values[src]
         if drop:
@@ -492,7 +486,7 @@ def _run_sink_add(state, body, nid: int, frames):
             except TypeError as exc:
                 state.fail(exc, f, nid)
                 return
-    _settle(state, body, nid, frames, [None] * len(frames))
+    _settle(state, body, body.unit_of[nid], frames, [None] * len(frames))
 
 
 def _sink_read(sink: dict, nid: int, shape):
@@ -515,25 +509,30 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _run_sink_add(state, body, nid, frames)
     else:  # grad_out
         payload = body.payloads[nid]
-        _settle(state, body, nid, frames, [_sink_read(f.inst.sink, *payload) for f in frames])
+        outs = [_sink_read(f.inst.sink, *payload) for f in frames]
+        _settle(state, body, body.unit_of[nid], frames, outs)
 
 
-# -- kernel groups (any thread) --------------------------------------------
+# -- segments (kernels on any thread) --------------------------------------
 
 
-def _operands(body, nid: int, frames) -> list:
-    """A batched kernel's operands: 2-D if one value serves every frame."""
+def _operands(body, nid: int, frames, stacks: dict) -> list:
+    """A batched kernel's operands: 2-D if one value serves every frame.
+
+    `stacks` holds the segment's results so far and the operands already
+    gathered for it, and takes the ones gathered here.
+    """
     ops = []
     for i in body.inputs[nid]:
-        v = frames[0].values[i]
-        if body.run_wide[i]:
-            ops.append(v.a)
-        elif type(v) is np.ndarray:  # a stack-only value: its group's stack
-            ops.append(v)
-        elif body.shared[i] and all(f.values[i] is v for f in frames):
-            ops.append(v.a)  # one instance's value
-        else:
-            ops.append(np.array([f.values[i].a for f in frames]))
+        a = stacks.get(i)
+        if a is None:
+            v = frames[0].values[i]
+            if body.run_wide[i] or (body.shared[i] and all(f.values[i] is v for f in frames)):
+                a = v.a  # one value for every frame
+            else:
+                a = np.array([f.values[i].a for f in frames])
+            stacks[i] = a
+        ops.append(a)
     return ops
 
 
@@ -554,96 +553,102 @@ def _views(stack, k: int) -> list:
     return Tensor._slices(stack)
 
 
-def _unresolved(body, nid: int, frames):
-    """(error, frame) if some frame's input is still pending, else None."""
-    for f in frames:
+def _unresolved(body, u: int, frames):
+    """(error, frame, node id) if an input from outside unit u is still
+    pending in some frame, else None."""
+    for nid in body.unit_nodes[u]:
         for i in body.inputs[nid]:
-            if f.values[i] is _PENDING:
-                return ExecutionError(
-                    f"scheduling bug: node {nid} ran before input {i} "
-                    f"resolved at key {_key_str(f)}"
-                ), f
+            if body.unit_of[i] == u:
+                continue
+            for f in frames:
+                if f.values[i] is _PENDING:
+                    return ExecutionError(
+                        f"scheduling bug: node {nid} ran before input {i} "
+                        f"resolved at key {_key_str(f)}"
+                    ), f, nid
     return None
 
 
-def _compute(state: _RunState, body, nid: int, frames, wid: int):
-    """Run one group's kernels: (per-frame values, error).
+def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
+    """Compute segment member `nid` for a group: None, or (exception, frame)
+    for the first frame that failed.
 
-    The error is None or (exception, frame) for the first frame that failed.
-    A batched group of a stack-only node gives every frame the whole stack.
+    In a batched pass (`stacks` is a dict, for groups of `_BATCH_MIN` frames
+    or more) a member with a batched variant runs once over stacked operands,
+    and frames get views of its result only where it is exposed. Otherwise,
+    or if the batched kernel raises, the per-frame kernel runs for each
+    frame, reading views of the members that stayed stacked.
     """
-    opts = state.opts
-    if opts.debug:
-        bad = _unresolved(body, nid, frames)
-        if bad is not None:
-            return None, bad
     if state.tracing:
         state.record(wid, body, nid, frames)
     k = len(frames)
+    opts = state.opts
     if opts.instrument:
         with state.lock:
             state.in_flight += k
             state.peak = max(state.peak, state.in_flight)
     try:
-        batched = body.batched[nid] if k >= _BATCH_MIN else None
-        rows = None
+        batched = None if stacks is None else body.batched[nid]
         if batched is not None:
             try:
-                out = _stack(batched(*_operands(body, nid, frames)), k)
-                return ([out] * k if body.stack_only[nid] else _views(out, k)), None
-            except Exception:  # noqa: BLE001 - the per-frame pass below names the frame
-                rows = _unstacked(body, nid, frames)
+                out = _stack(batched(*_operands(body, nid, frames, stacks)), k)
+            except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
+                for i in body.inputs[nid]:
+                    if frames[0].values[i] is _PENDING:  # a member that stayed stacked
+                        for f, v in zip(frames, _views(stacks[i], k)):
+                            f.values[i] = v
+            else:
+                stacks[nid] = out
+                if body.exposed[nid]:
+                    for f, v in zip(frames, _views(out, k)):
+                        f.values[nid] = v
+                return None
         kernel = body.kernels[nid]
-        outs = []
-        for j, f in enumerate(frames):
+        for f in frames:
             try:
-                outs.append(kernel(f.values if rows is None else rows[j]))
+                f.values[nid] = kernel(f.values)
             except Exception as exc:  # noqa: BLE001 - reported with full context
-                return None, (exc, f)
-        return outs, None
+                return exc, f
+        return None
     finally:
         if opts.instrument:
             with state.lock:
                 state.in_flight -= k
 
 
-def _unstacked(body, nid: int, frames) -> list:
-    """Each frame's values for per-frame kernels, with views of the stack in
-    place of stack-only inputs (only a group that tried its batched variant
-    can have those)."""
-    stacked = [
-        (i, _views(frames[0].values[i], len(frames)))
-        for i in body.inputs[nid]
-        if type(frames[0].values[i]) is np.ndarray
-    ]
-    rows = []
-    for j, f in enumerate(frames):
-        vals = f.values
-        if stacked:
-            vals = vals.copy()
-            for i, views in stacked:
-                vals[i] = views[j]
-        rows.append(vals)
-    return rows
+def _run_members(state: _RunState, body, waves, frames, stacks):
+    """Compute a segment's members wave by wave: None, or (exception, frame,
+    node id) for the first that failed. With more than one thread, a wave's
+    heavy members are shared among the run's threads."""
+    k = len(frames)
+    offload = state.opts.threads > 1
+    for wave in waves:
+        done = None
+        if offload and len(wave) > 1:
+            heavy = [m for m in wave if k * body.work[m] >= _OFFLOAD_WORK]
+            if len(heavy) > 1:
+                tasks = [(body, m, frames, stacks) for m in heavy]
+                done = dict(zip(heavy, _compute_all(state, tasks)))
+        for m in wave:
+            if done is not None and m in done:
+                err = done[m]
+            else:
+                err = _compute(state, body, m, frames, stacks, 0)
+            if err is not None:
+                return err[0], err[1], m
+    return None
 
 
 def _worker(state: _RunState, wid: int):
-    q = state.queue
-    while True:
-        item = q.get()
-        if item is _STOP:
-            return
-        task, results, i, done = item
+    for task, results, i, done in iter(state.queue.get, _STOP):
         results[i] = _compute(state, *task, wid)
         done.release()
 
 
 def _compute_all(state: _RunState, tasks: list) -> list:
-    """Run one round's (body, node, frames) groups at once, spread over the
-    run's threads; returns their `_compute` results in order.
-
-    The run's worker threads start the first time a round needs them.
-    """
+    """Run (body, node, frames, stacks) members at once, spread over the
+    run's threads, which start the first time a segment needs them; returns
+    their `_compute` results in order."""
     if not state.workers:
         state.workers = [
             threading.Thread(target=_worker, args=(state, w), daemon=True)
@@ -671,44 +676,35 @@ def _compute_all(state: _RunState, tasks: list) -> list:
 
 
 def _round(state: _RunState):
-    """Run every group that became ready in the previous round.
+    """Run every unit group that became ready in the previous round.
 
     Groups settle in the order they became ready, whichever thread computed
-    them, so the next round's groups are the same for every thread count.
+    their members, so the next round's groups are the same for every thread
+    count.
     """
     groups = state.ready
     state.ready = {}
-    offloaded = None
-    if state.opts.threads > 1:
-        heavy = [
-            (body, nid, frames)
-            for (body, nid), frames in groups.items()
-            if frames and len(frames) * body.work[nid] >= _OFFLOAD_WORK
-        ]
-        if len(heavy) > 1:
-            results = _compute_all(state, heavy)
-            offloaded = {(body, nid): r for (body, nid, _), r in zip(heavy, results)}
-    for (body, nid), frames in groups.items():
-        if not frames:
-            continue
-        if body.kinds[nid] in CONTROL_KINDS:
-            if state.opts.debug:
-                bad = _unresolved(body, nid, frames)
-                if bad is not None:
-                    state.fail(bad[0], bad[1], nid)
-                    return
+    for (body, u), frames in groups.items():
+        if state.opts.debug:
+            bad = _unresolved(body, u, frames)
+            if bad is not None:
+                state.fail(*bad)
+                return
+        waves = body.waves[u]
+        if waves is None:
+            nid = body.unit_nodes[u][0]
             if state.tracing:
                 state.record(0, body, nid, frames)
             _run_control(state, body, nid, frames)
             if state.error is not None:
                 return
             continue
-        res = offloaded.get((body, nid)) if offloaded else None
-        outs, error = res or _compute(state, body, nid, frames, 0)
+        stacks = {} if len(frames) >= _BATCH_MIN else None
+        error = _run_members(state, body, waves, frames, stacks)
         if error is not None:
-            state.fail(error[0], error[1], nid)
+            state.fail(*error)
             return
-        _settle(state, body, nid, frames, outs)
+        _settle(state, body, u, frames)
 
 
 def run(
@@ -795,8 +791,8 @@ def run_batch(
         if frame.inst.fetch_remaining:
             state.open += 1
         tops.append(frame)
-    for nid in top.initial_ready:
-        state.ready[(top, nid)] = tops.copy()
+    for u in top.initial_ready:
+        state.ready[(top, u)] = tops.copy()
 
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
     try:
@@ -812,6 +808,8 @@ def run_batch(
     if state.error is not None:
         exc, key, nid, kind = state.error
         raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
+    traces = [t for t in state.traces if t]  # each already in time order
+    trace = traces[0] if len(traces) == 1 else sorted(chain(*traces), key=itemgetter(0, 1))
     results = []
     for frame in tops:
         values = frame.values
@@ -825,7 +823,7 @@ def run_batch(
                 values=[values[i] for i in fetch_ids],
                 frames=frame.inst.frames,
                 peak_concurrency=state.peak,
-                trace=state.trace,
+                trace=trace,
             )
         )
     return results

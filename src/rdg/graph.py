@@ -774,6 +774,9 @@ class CompiledBody:
         "kinds",
         "payloads",
         "inputs",
+        "unit_of",
+        "unit_nodes",
+        "waves",
         "sole_dependents",
         "joint_dependents",
         "pending0",
@@ -783,7 +786,6 @@ class CompiledBody:
         "placeholders",
         "parameters",
         "outputs",
-        "outputs_unique",
         "completion_total",
         "completion_mask",
         "kernels",
@@ -791,7 +793,8 @@ class CompiledBody:
         "work",
         "shared",
         "run_wide",
-        "stack_only",
+        "exposed",
+        "sink_drops",
         "n_nodes",
         "mirrors",
         "fwd_slots",
@@ -845,61 +848,107 @@ class CompiledBody:
             elif nd.kind == "parameter":
                 self.parameters.append((nd.id, nd.payload, nd.shape))
                 initial.add(nd.id)
-        deps: list[list[int]] = [[] for _ in range(n)]
-        pending = [0] * n
+        self.outputs = list(g.outputs)
+        self.kernels, self.batched, self.work = kernels.compile_body(g)
+        # Cut the body into units. Each control node is one. The compute
+        # nodes whose non-init inputs lead back to the same set of control
+        # nodes (their key) form one segment, which the scheduler readies,
+        # runs and settles as one: the key of a compute node is the union,
+        # over its non-init inputs, of {i} for a control node i and of i's
+        # key otherwise. Node ids order the inputs of every compute node
+        # before it, so one pass assigns the units.
+        control = kernels.CONTROL_KINDS
+        keys: list = [None] * n
+        segments: dict = {}  # key -> unit
+        members: list[list[int]] = []
+        self.unit_of = unit_of = [-1] * n
         for nd in g.nodes:
+            i = nd.id
+            if i in initial:
+                continue
+            if nd.kind in control:
+                keys[i] = frozenset((i,))
+                u = len(members)
+                members.append([])
+            else:
+                key = None
+                for j in nd.inputs:
+                    if j in initial:
+                        continue
+                    if j > i:
+                        raise BuildError(f"node {i} of {g.label!r} reads node {j}, which follows it")
+                    kj = keys[j]
+                    key = kj if key is None or key is kj else key | kj
+                keys[i] = key = key or frozenset()
+                u = segments.get(key)
+                if u is None:
+                    u = segments[key] = len(members)
+                    members.append([])
+            unit_of[i] = u
+            members[u].append(i)
+        # Per unit: the units that wait on it, and how many units it waits
+        # on. Per node: how many nodes read it; whether a frame must hold it
+        # (it is read outside its segment, by a member with no batched
+        # variant, by the gradient, or fetched from the top level); and its
+        # depth among its segment's members, which orders them in waves of
+        # independent members.
+        deps: list[list[int]] = [[] for _ in members]
+        pending = [0] * len(members)
+        readers = [0] * n
+        self.exposed = exposed = [is_top] * n
+        level = [0] * n
+        waves = [None if self.kinds[ms[0]] in control else [] for ms in members]
+        for nd in g.nodes:
+            i = nd.id
+            u = unit_of[i]
+            if u < 0:
+                continue
             ins = nd.inputs
             site = _mirrored_site(nd) if is_top else None
             if site is not None and site < n:  # also wait for the mirrored forward call
                 ins = ins + [site]
-            for i in ins:
-                deps[i].append(nd.id)
-                if i not in initial:
-                    pending[nd.id] += 1
-        for i in initial:
-            pending[i] = -1  # never scheduled; value arrives at frame init
+            for j in ins:
+                v = unit_of[j]
+                if v < 0:
+                    continue
+                readers[j] += 1
+                if v != u:
+                    exposed[j] = True
+                    if u not in deps[v]:
+                        deps[v].append(u)
+                        pending[u] += 1
+                else:
+                    level[i] = max(level[i], level[j] + 1)
+                    if self.batched[i] is None:
+                        exposed[j] = True
+            w = waves[u]
+            if w is not None:
+                if level[i] == len(w):
+                    w.append([])
+                w[level[i]].append(i)
+        held = set(g.outputs).union(reads)
+        for i in held:
+            exposed[i] = True
+        self.unit_nodes = [tuple(ms) for ms in members]
+        # per unit: its members in waves, None for a control node
+        self.waves = [w and tuple(map(tuple, w)) for w in waves]
         self.pending0 = pending
-        self.initial_ready = [
-            nd.id for nd in g.nodes if pending[nd.id] == 0 and nd.id not in initial
-        ]
-        self.outputs = list(g.outputs)
-        self.outputs_unique = tuple(dict.fromkeys(g.outputs))
-        sinks = [
+        self.initial_ready = [u for u, p in enumerate(pending) if p == 0]
+        self.sole_dependents = [tuple([d for d in ds if pending[d] == 1]) for ds in deps]
+        self.joint_dependents = [tuple([d for d in ds if pending[d] != 1]) for ds in deps]
+        # a frame is complete once every unit that holds an output or that
+        # no unit waits on has run, since every other unit runs before one of
+        # those; outputs that are arguments or constants are settled at init
+        mask = [not (is_top or ds) for ds in deps]
+        for i in self.outputs if not is_top else ():
+            if unit_of[i] >= 0:
+                mask[unit_of[i]] = True
+        self.completion_mask = mask
+        self.completion_total = sum(mask)
+        # sink adds whose contribution nothing else reads: it leaves the
+        # frame once added
+        self.sink_drops = frozenset(
             nd.id
             for nd in g.nodes
-            if not deps[nd.id] and nd.id not in g.outputs and nd.id not in initial
-        ]
-        # outputs that are arguments or constants are settled at frame init
-        self.completion_total = (
-            sum(1 for i in self.outputs_unique if i not in initial) + len(sinks)
-            if not is_top
-            else 0
+            if nd.kind == "sink_add" and readers[nd.inputs[0]] == 1 and nd.inputs[0] not in held
         )
-        mask = [False] * n
-        if not is_top:
-            for i in self.outputs_unique:
-                mask[i] = True
-            for i in sinks:
-                mask[i] = True
-        self.completion_mask = mask
-        self.kernels, self.batched, self.work = kernels.compile_body(g)
-        batched = self.batched
-        # per computed node: the dependents that wait on it alone, and the
-        # others; and whether it is stack-only, read by no gradient and only
-        # by batched kernels that wait on it alone: such a reader's group
-        # holds exactly the frames of the group that produced the value, in
-        # the same order, so a batched result can stay one stack that every
-        # frame holds, with no per-frame views
-        self.sole_dependents = [()] * n
-        self.joint_dependents = [()] * n
-        self.stack_only = [False] * n
-        held = set(g.outputs).union(reads)
-        for i, ds in enumerate(deps):
-            if not ds or i in initial:
-                continue
-            sole = tuple([d for d in ds if pending[d] == 1])
-            self.sole_dependents[i] = sole
-            if len(sole) < len(ds):
-                self.joint_dependents[i] = tuple([d for d in ds if pending[d] != 1])
-            elif not is_top and batched[i] is not None and i not in held:
-                self.stack_only[i] = all([batched[d] is not None for d in ds])

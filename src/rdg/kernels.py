@@ -10,14 +10,15 @@ None-propagating variant: a None operand means "no gradient flows", and the
 node's result is then None as well. Forward nodes stay strict, so a missing
 value in a forward body fails loudly instead of leaking None.
 
-The maths kinds also get a batched variant (see `compile_body`), which the
-scheduler runs once for a group of k frames at the same node. Its operands
-are plain arrays: a 2-D array is one value shared by every frame of the group
-(a parameter, a constant), a 3-D array stacks the k per-frame values along
-axis 0. It returns a 3-D array whose slice j is frame j's value, or a 2-D
-array when every operand was shared. Any operand a batched variant cannot
-handle makes it raise; the scheduler then runs the per-frame kernels, which
-also name the failing frame.
+The maths kinds and `grad_accum` also get a batched variant (see
+`compile_body`), which the scheduler runs once for a group of k frames at the
+same node. Its operands are plain arrays: a 2-D array is one value shared by
+every frame of the group (a parameter, a constant), a 3-D array stacks the k
+per-frame values along axis 0. It returns a 3-D array whose slice j is frame
+j's value, or a 2-D array when every operand was shared. Any operand a
+batched variant cannot handle (a row table, a missing gradient) makes it
+raise; the scheduler then runs the node's per-frame kernels, which also name
+the failing frame.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .tensor import Tensor, index_value, softmax_cross_entropy
 from . import graph as _g
 
 CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "sink_add", "grad_out"})
-# Kernels that only move or sum values the frame already holds: they have no
-# batched variant and are never worth handing to another thread.
+# Kernels that only move or sum values the frame already holds: they are never
+# worth handing to another thread.
 PLUMBING_KINDS = frozenset({"select", "grad_accum"})
 INIT_KINDS = frozenset(
     {"const", "none_const", "input", "capture", "fwd_value", "placeholder", "parameter"}
@@ -243,9 +244,10 @@ def compile_body(g) -> tuple[list, list, list]:
     """Per node id: the per-frame kernel, its batched variant, and its work.
 
     Control and init nodes get None, None, 0. The work is a rough count of
-    multiply-adds per frame (inf for a stall): the scheduler hands a group
-    to another thread only when that is large enough to outweigh the
-    handoff, since small numpy kernels hold the interpreter lock throughout.
+    multiply-adds per frame (inf for a stall): the scheduler hands a node's
+    kernel for a group to another thread only when that is large enough to
+    outweigh the handoff, since small numpy kernels hold the interpreter lock
+    throughout.
     """
     n = len(g.nodes)
     fns: list = [None] * n
@@ -258,8 +260,8 @@ def compile_body(g) -> tuple[list, list, list]:
         if (g.mirrors is not None or node.grad_flag) and node.kind not in _CUSTOM_NONE:
             fn = _none_prop(fn, tuple(node.inputs))
         fns[node.id] = fn
+        batched[node.id] = _build_batched(node)
         if node.kind not in PLUMBING_KINDS:
-            batched[node.id] = _build_batched(node)
             work[node.id] = _work(g, node)
     return fns, batched, work
 
@@ -365,6 +367,7 @@ _BATCHED = {
     "concat_rows": _bconcat,
     "gather_row": _bgather,
     "softmax_xent": _bxent,
+    "grad_accum": lambda *parts: functools.reduce(np.add, parts),  # in add_grads' order
 }
 
 

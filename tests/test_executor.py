@@ -511,7 +511,7 @@ class TestRunBatch:
 
         body = fg.bodies["Pick"]
         gather = body.kinds.index("gather_row")
-        assert body.stack_only[body.inputs[gather][1]]
+        assert body.unit_of[gather] == body.unit_of[body.inputs[gather][1]]
         calls = Counter()
         kernel = body.kernels[gather]
 
@@ -531,6 +531,36 @@ class TestRunBatch:
         feeds[1]["table"] = Tensor.scalar(7.0)  # no row 1: the frames fail
         with pytest.raises(ExecutionError, match=r"node \d+ \(gather_row\) at key .*out of range"):
             run_batch(fg, feeds, [y])
+
+    def test_failed_member_of_batched_segment_is_named(self):
+        # add, gather_row and tanh form one segment of Pick, which runs
+        # batched for the 8 instances. One instance's row is out of range, so
+        # the batched gather raises and reruns frame by frame, and the error
+        # names the gather, its kind and the failing frame's key.
+        g = Graph()
+        pick = g.declare_subgraph("Pick", *scalar_sig())
+        table = g.constant(Tensor.from_array(np.array([[1.0], [2.0], [3.0]])))
+        pb = g.body(pick)
+        (m,) = pb.args
+        row = pb.gather_row(table, pb.add(m, pb.constant(Tensor.scalar(1.0))))
+        pb.set_outputs([pb.tanh(row)])
+        g.define_subgraph(pick, pb)
+        x = g.placeholder((1, 1), "x")
+        (y,) = g.invoke(pick, [x])
+        fg = g.finalize()
+
+        body = fg.bodies["Pick"]
+        add, gather, tanh = (body.kinds.index(k) for k in ("binary", "gather_row", "unary"))
+        assert body.unit_of[add] == body.unit_of[gather] == body.unit_of[tanh]
+        xs = [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
+        got = run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [y])
+        want = [np.tanh(v + 2.0) for v in xs]  # row v + 1 holds v + 2
+        assert [r.values[0].item() for r in got] == pytest.approx(want, rel=1e-12)
+
+        xs[5] = 8.0
+        msg = rf"node {gather} \(gather_row\) at key {y.id}: row 9 out of range for 3x1 table"
+        with pytest.raises(ExecutionError, match=msg):
+            run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [y])
 
     def test_empty_batch_rejected(self):
         g, x, y = build_countdown()

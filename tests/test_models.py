@@ -16,7 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from rdg import RowGrads, RunOptions, Tensor, differentiate, run, run_training_step
+from rdg import (
+    RowGrads, RunOptions, Tensor, differentiate, executor, run, run_training_step,
+)
 from rdg.data import TreeInstance, Vocab, generate_synthetic
 from rdg.models import (
     CapacityError,
@@ -467,6 +469,27 @@ class TestGradientGraph:
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
         res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
         assert len(res.trace) <= 8_000  # one row per executed (frame, node)
+
+    def test_linear_treernn_step_rounds(self, monkeypatch):
+        # one frame per group: a straight-line segment of a body costs one
+        # round, not one per node, and still one trace row per (frame, node)
+        cfg = ModelConfig("treernn", d=16, vocab=21, classes=2)
+        rec = build_recursive(cfg)
+        g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
+        tree = generate_synthetic("linear", 200, 20, 2, np.random.default_rng(0))
+        rounds = 0
+        step = executor._round
+
+        def counted(state):
+            nonlocal rounds
+            rounds += 1
+            step(state)
+
+        monkeypatch.setattr(executor, "_round", counted)
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
+        assert rounds <= 1_700
+        assert len(res.trace) == 6_199
 
     def test_deepest_linear_tree_the_depth_guard_admits(self):
         # 256 leaves in a line: the deepest forward and gradient frames are
