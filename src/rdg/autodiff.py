@@ -10,7 +10,10 @@ a recursive Invoke of F__grad at the same position, and each gradient frame
 is paired with the forward frame it mirrors. Forward values a gradient needs
 are wired directly when they live in the same frame. Otherwise they are
 `fwd_value` slots of the gradient body, filled from the mirrored forward
-frame when the gradient frame is created, the way arguments are.
+frame when the gradient frame is created, the way arguments are. A call's
+output j is its node id + j (the call node, then its `result` slots), so the
+gradients of a call's outputs are read from those ids, and a gradient call
+returns the gradients of its arguments into its own result slots.
 
 Gradients of top-level nodes do not travel back through return values.
 Every contribution to a top-level node that a body captures (a parameter,
@@ -22,7 +25,9 @@ placeholder or constant outside `wrt`, nor toward its capture proxies.
 
 A cond gradient runs the gradient of the branch its mirrored forward frame
 ran; the untaken branch's parameters receive no contribution, which
-materializes as exact zeros at the top level.
+materializes as exact zeros at the top level. Its slots hold the gradients
+of the cond's arguments, then of the enclosing-body nodes that the then and
+the else branch capture; the untaken branch's capture slots hold None.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .graph import (
     NodeHandle,
     Shape,
     SubGraphRef,
-    TupleShape,
     _target_names,
 )
 from .tensor import Tensor
@@ -127,7 +131,6 @@ class _Context:
         self.fwd = fwd  # graph whose nodes we differentiate
         self.out = out  # graph receiving emitted gradient nodes
         self.adjoint: dict[int, list[NodeHandle]] = {}
-        self.bucket: dict[int, dict[int, NodeHandle]] = {}  # invoke id -> slot -> grad
         self.cap_out: dict[int, list[NodeHandle]] = {}  # inner capture index -> grads
         self._reads: dict[int, NodeHandle] = {}
 
@@ -303,11 +306,7 @@ def _sweep(ctx: _Context):
             # is complete once every gradient call emitted so far returned
             sink = ctx.emit("grad_out", tuple(synth.waits), payload=(nid, node.shape))
             ctx.add_adjoint(nid, sink)
-        if kind == "select":
-            d = ctx.combined(nid)
-            if d is not None:
-                src = node.inputs[0]
-                ctx.bucket.setdefault(src, {})[node.payload] = d
+        if kind == "result":  # its call's sweep reads its gradient
             continue
         if kind == "invoke":
             _vjp_invoke(ctx, node)
@@ -422,12 +421,9 @@ def _vjp_node(ctx: _Context, node, d: NodeHandle):
 
 
 def _upstream(ctx: _Context, node, out_shapes) -> list[NodeHandle] | None:
-    """The gradients of a call's outputs, or None if all are None."""
-    if len(out_shapes) == 1:
-        douts = [ctx.grad_or_none(ctx.combined(node.id), out_shapes[0])]
-    else:
-        slot_grads = ctx.bucket.get(node.id, {})
-        douts = [ctx.grad_or_none(slot_grads.get(k), s) for k, s in enumerate(out_shapes)]
+    """The gradients of a call's outputs, or None if all are None. Output j
+    is node id + j: the call node, then its result slots."""
+    douts = [ctx.grad_or_none(ctx.combined(node.id + j), s) for j, s in enumerate(out_shapes)]
     if all(ctx.out.nodes[h.id].kind == "none_const" for h in douts):
         return None
     return douts
@@ -470,24 +466,18 @@ def _vjp_cond(ctx: _Context, node):
     arg_ids = node.inputs[1:]  # input 0 is the predicate: no gradient
     union_shapes = [tdef.body.nodes[i].shape for i in tdef.body.arg_ids]
     union_shapes += [c.graph.nodes[c.id].shape for c in caps_t + caps_e]
-    shape = union_shapes[0] if n_union == 1 else TupleShape(tuple(union_shapes))
     payload = CondGradPayload(
         cond_site=node.id,
         then_name=g_then.name,
         else_name=g_else.name,
         n_args=n_args,
-        n_union=n_union,
         cap_counts=(0, 0),
         then_slots=then_slots,
         else_slots=else_slots,
     )
-    cg = ctx.emit("cond_grad", douts, payload=payload, shape=shape)
+    slots = ctx.out.call_node("cond_grad", douts, payload, union_shapes)
     if ctx.fwd is ctx.out:
-        ctx.synth.waits.append(cg)
-    if n_union == 1:
-        slots = [cg]
-    else:
-        slots = [ctx.emit("select", (cg,), payload=k) for k in range(n_union)]
+        ctx.synth.waits.append(slots[0])
     for i, arg in enumerate(arg_ids):
         if ctx.want(arg):
             ctx.add_adjoint(arg, slots[i])

@@ -35,10 +35,16 @@ from which worker finished first, so results are bit-identical for every
 thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
-join the next round, and register the parent node as the child's return
-slot. Frames form a tree through parent pointers. A frame's depth counts the
-call sites above it, and its key, the path of their node ids, is built from
-the parent pointers for error messages and trace rows only.
+join the next round. A call node holds its first output and the `result`
+nodes right after it the others, all in the call's unit. A child that
+completes writes its outputs straight into those slots and settles that
+unit, so a call with several outputs costs its caller no more than a call
+with one. A cond gradient's child fills the slots of its branch's outputs,
+and the other branch's capture slots hold None.
+
+Frames form a tree through parent pointers. A frame's depth counts the call
+sites above it, and its key, the path of their node ids, is built from the
+parent pointers for error messages and trace rows only.
 
 In a differentiated graph, a forward frame records the child frame of each
 call site that a gradient call mirrors. That gradient call pops the child
@@ -152,20 +158,20 @@ class _Instance:
 
 class _Frame:
     __slots__ = (
-        "body", "values", "pending", "remaining", "parent", "return_node", "site", "depth",
-        "mapper", "inst", "children", "path", "__weakref__",
+        "body", "values", "pending", "remaining", "parent", "return_node", "ret", "site",
+        "depth", "inst", "children", "path", "__weakref__",
     )
 
-    def __init__(self, body, values, parent, return_node, site, depth, mapper, inst):
+    def __init__(self, body, values, parent, return_node, ret, site, depth, inst):
         self.body = body
         self.values = values
         self.pending = body.pending0.copy()
         self.remaining = body.completion_total
         self.parent = parent
         self.return_node = return_node
+        self.ret = ret  # (parent's node id, own output node id) per output
         self.site = site  # the forward call site, for a gradient frame too
         self.depth = depth
-        self.mapper = mapper
         self.inst = inst
         # call site -> the child frame a gradient call will pop; a gradient
         # frame holds the record of the forward frame it mirrors
@@ -249,24 +255,20 @@ def _op_label(body, nid: int) -> str:
 # -- bookkeeping (scheduler thread only) -----------------------------------
 
 
-def _settle(state: _RunState, body, u: int, frames, outs=None):
-    """Propagate readiness once unit u has run for a group of frames; `outs`
-    holds each frame's value of a control node.
+def _settle(state: _RunState, body, u: int, frames):
+    """Propagate readiness once unit u has run, and set its values, for a
+    group of frames.
 
     Dependents whose last input this was join the next round. Frames whose
-    outputs are now complete return their value to the parent's call node,
-    one group per (parent body, call node), which may complete the parents
-    in turn; a completed frame that a gradient call will read keeps only
-    the values that gradient reads. Iterative, so deep call chains cannot
-    exhaust the stack.
+    outputs are now complete write them into the parent's result slots and
+    settle the call's unit there, one group per (parent body, call node),
+    which may complete the parents in turn; a completed frame that a
+    gradient call will read keeps only the values that gradient reads.
+    Iterative, so deep call chains cannot exhaust the stack.
     """
     ready = state.ready
     work = []
     while True:
-        if outs is not None:
-            nid = body.unit_nodes[u][0]
-            for f, v in zip(frames, outs):
-                f.values[nid] = v
         for d in body.sole_dependents[u]:  # now ready in every frame
             lst = ready.get((body, d))
             if lst is None:
@@ -303,43 +305,43 @@ def _settle(state: _RunState, body, u: int, frames, outs=None):
         if done is not None:
             returns: dict = {}
             for f in done:
+                _return(f)
                 parent = f.parent
                 key = (parent.body, f.return_node)
-                entry = returns.get(key)
-                if entry is None:
-                    returns[key] = entry = ([], [])
-                entry[0].append(parent)
-                entry[1].append(_frame_value(f))
+                parents = returns.get(key)
+                if parents is None:
+                    returns[key] = [parent]
+                else:
+                    parents.append(parent)
                 if f.return_node in parent.body.recorded:
                     vals = f.values
                     f.values = {i: vals[i] for i in f.body.keep}
-                    f.pending = f.parent = f.mapper = None
-            for (pbody, rnode), (parents, values) in reversed(returns.items()):
-                work.append((pbody, pbody.unit_of[rnode], parents, values))
+                    f.pending = f.parent = None
+            for (pbody, rnode), parents in reversed(returns.items()):
+                work.append((pbody, pbody.unit_of[rnode], parents))
         if not work:
             return
-        body, u, frames, outs = work.pop()
+        body, u, frames = work.pop()
 
 
-def _frame_value(f: _Frame):
-    body = f.body
+def _return(f: _Frame):
+    """Write a completed frame's outputs into its parent's result slots."""
+    pvals = f.parent.values
     vals = f.values
-    outs = body.outputs
-    value = vals[outs[0]] if len(outs) == 1 else tuple([vals[i] for i in outs])
-    if f.mapper is not None:
-        return f.mapper(value)
-    return value
+    for i, o in f.ret:
+        pvals[i] = vals[o]
 
 
-def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, mapper=None):
+def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, ret=None):
     """Create one child frame of `name` per parent, called from node `nid`.
 
-    The child's arguments are the parent's values at node ids `ids`. A
-    gradient call passes the forward call site it mirrors, and each child
-    reads the forward frame popped from its parent's record there; a forward
-    call that a gradient call mirrors records each child. Captures of
-    top-level nodes hold one value per instance, so each instance keeps a
-    template per body with those set.
+    The child's arguments are the parent's values at node ids `ids`, and its
+    outputs return into the parent's node ids `ret`, by default the call
+    node and its result slots. A gradient call passes the forward call site
+    it mirrors, and each child reads the forward frame popped from its
+    parent's record there; a forward call that a gradient call mirrors
+    records each child. Captures of top-level nodes hold one value per
+    instance, so each instance keeps a template per body with those set.
     """
     body = state.g.bodies[name]
     slots = body.arg_slots
@@ -358,7 +360,11 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, m
         (shared if body.shared[slot] else own).append((slot, i))
     limit = state.opts.max_recursion_depth
     site = nid if fwd_site is None else fwd_site
-    record = nid in parents[0].body.recorded
+    pbody = parents[0].body
+    record = nid in pbody.recorded
+    if ret is None:
+        ret = pbody.unit_nodes[pbody.unit_of[nid]]
+    ret = tuple(zip(ret, body.outputs))
     children = []
     for parent in parents:
         depth = parent.depth + 1
@@ -378,7 +384,7 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, m
         values = template.copy()
         for slot, i in own:
             values[slot] = pvals[i]
-        child = _Frame(body, values, parent, nid, site, depth, mapper, inst)
+        child = _Frame(body, values, parent, nid, ret, site, depth, inst)
         if state.tracing:
             child.path = f"{parent.path}/{site}" if parent.parent else str(site)
         if fwd_site is not None:
@@ -403,8 +409,9 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, m
             lst.extend(children)
     if not body.completion_total:
         # every output is an argument or a constant: the call is complete
-        pbody = parents[0].body
-        _settle(state, pbody, pbody.unit_of[nid], parents, [_frame_value(f) for f in children])
+        for f in children:
+            _return(f)
+        _settle(state, pbody, pbody.unit_of[nid], parents)
 
 
 def _run_invoke(state, body, nid, frames):
@@ -443,22 +450,19 @@ def _run_cond_grad(state, body, nid, frames):
             return
         taken[child.body.label == then_fwd].append(f)
     ups = ids[:n_up]
+    unit = body.unit_nodes[body.unit_of[nid]]  # the call node and its result slots
     for rec, name, caps, slots in (
         (1, p.then_name, ids[n_up : n_up + ct], p.then_slots),
         (0, p.else_name, ids[n_up + ct :], p.else_slots),
     ):
         if not taken[rec] or state.error is not None:
             continue
-        embed = None
-        if slots != tuple(range(p.n_union)):  # the branches capture different nodes
-
-            def embed(outs, slots=slots, n_union=p.n_union):
-                union = [None] * n_union
-                for pos, slot in enumerate(slots):
-                    union[slot] = outs[pos] if len(slots) > 1 else outs
-                return tuple(union)
-
-        _spawn(state, name, taken[rec], nid, ups + caps, p.cond_site, embed)
+        ret = [unit[s] for s in slots]
+        untaken = [i for i in unit if i not in ret]  # the other branch's captures
+        for f in taken[rec]:
+            for i in untaken:
+                f.values[i] = None
+        _spawn(state, name, taken[rec], nid, ups + caps, p.cond_site, ret)
 
 
 def _run_sink_add(state, body, nid: int, frames):
@@ -469,6 +473,7 @@ def _run_sink_add(state, body, nid: int, frames):
     top_id = body.payloads[nid]
     drop = nid in body.sink_drops
     for f in frames:
+        f.values[nid] = None
         v = f.values[src]
         if drop:
             f.values[src] = None
@@ -486,7 +491,7 @@ def _run_sink_add(state, body, nid: int, frames):
             except TypeError as exc:
                 state.fail(exc, f, nid)
                 return
-    _settle(state, body, body.unit_of[nid], frames, [None] * len(frames))
+    _settle(state, body, body.unit_of[nid], frames)
 
 
 def _sink_read(sink: dict, nid: int, shape):
@@ -509,8 +514,9 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _run_sink_add(state, body, nid, frames)
     else:  # grad_out
         payload = body.payloads[nid]
-        outs = [_sink_read(f.inst.sink, *payload) for f in frames]
-        _settle(state, body, body.unit_of[nid], frames, outs)
+        for f in frames:
+            f.values[nid] = _sink_read(f.inst.sink, *payload)
+        _settle(state, body, body.unit_of[nid], frames)
 
 
 # -- segments (kernels on any thread) --------------------------------------
@@ -759,7 +765,7 @@ def run_batch(
     tops = []
     for feeds in feed_list:
         values = _template(top)
-        frame = _Frame(top, values, None, -1, None, 0, None, _Instance())
+        frame = _Frame(top, values, None, -1, (), None, 0, _Instance())
         frame.path = "-"
         by_name = {}
         for h, v in feeds.items():

@@ -6,6 +6,11 @@ that forward declaration is what makes self- and mutual recursion buildable.
 Cond takes two SubGraph references and only ever runs the selected one, which
 is what lets a recursive definition terminate.
 
+A call (invoke, cond, or a cond gradient) returns like a host-language
+function: its node holds output 0, and a `result` node at each of the next
+ids holds one further output. The callee's frame writes its outputs straight
+into those slots when it returns; nothing unpacks a tuple.
+
 Bodies may reference nodes of enclosing graphs directly; every such outer
 reference is rewritten to an extra body input (a capture). Captures close
 transitively at finalize: if Model's body invokes Leaf and Leaf captures the
@@ -34,13 +39,6 @@ class TableShape(NamedTuple):
 
     def __str__(self):
         return f"table[{self.rows}x{self.cols}]"
-
-
-class TupleShape(NamedTuple):
-    parts: tuple
-
-    def __str__(self):
-        return "(" + ", ".join(str(p) for p in self.parts) + ")"
 
 
 class RowTable:
@@ -352,12 +350,8 @@ class Graph:
             return None
         if kind == "grad_out":  # the sink entry of top-level node payload[0]
             return payload[1]
-        if kind == "select":
-            need(1)
-            src = shapes[0]
-            if not isinstance(src, TupleShape):
-                raise BuildError(f"select needs a tuple-valued input, got {src}")
-            return src.parts[payload]
+        if kind in ("invoke", "cond", "cond_grad"):  # a call with no outputs
+            return None
         raise BuildError(f"cannot infer shape for kind {kind!r}")
 
     # -- leaf constructors ----------------------------------------------
@@ -490,10 +484,9 @@ class Graph:
         self._check_mutable()
         d = self.registry[ref.name]
         self._check_args(ref.name, d, args)
-        shape = d.out_shapes[0] if len(d.out_shapes) == 1 else TupleShape(tuple(d.out_shapes))
         payload = ref.name if site is None else (ref.name, site)
-        node = self.add_node("invoke", tuple(args), payload=payload, shape=shape)
-        return self._split_outputs(node, d)
+        outs = self.call_node("invoke", tuple(args), payload, d.out_shapes)
+        return outs[: len(d.out_shapes)]
 
     def cond(
         self,
@@ -511,14 +504,9 @@ class Graph:
         if self.shape_of(predicate) != Shape(1, 1):
             raise BuildError(f"cond predicate must be 1x1, got {self.shape_of(predicate)}")
         self._check_args("cond", t, args)
-        shape = t.out_shapes[0] if len(t.out_shapes) == 1 else TupleShape(tuple(t.out_shapes))
-        node = self.add_node(
-            "cond",
-            (predicate, *args),
-            payload=(then_ref.name, else_ref.name),
-            shape=shape,
-        )
-        return self._split_outputs(node, t)
+        payload = (then_ref.name, else_ref.name)
+        outs = self.call_node("cond", (predicate, *args), payload, t.out_shapes)
+        return outs[: len(t.out_shapes)]
 
     def _check_args(self, what: str, d: SubGraphDef, args):
         if len(args) != len(d.in_shapes):
@@ -530,10 +518,16 @@ class Graph:
             if not _shape_compatible(got, want):
                 raise BuildError(f"{what}: argument {i} has shape {got}, signature wants {want}")
 
-    def _split_outputs(self, node: NodeHandle, d: SubGraphDef) -> list[NodeHandle]:
-        if len(d.out_shapes) == 1:
-            return [node]
-        return [self.add_node("select", (node,), payload=k) for k in range(len(d.out_shapes))]
+    def call_node(self, kind: str, inputs, payload, out_shapes) -> list[NodeHandle]:
+        """Add a call node, which holds output 0, and a `result` node right
+        after it for each further output; the returning frame writes its
+        outputs straight into those slots. Returns the call, then the results."""
+        shape = out_shapes[0] if out_shapes else None
+        call = self.add_node(kind, inputs, payload=payload, shape=shape)
+        return [call] + [
+            self.add_node("result", (call,), payload=j, shape=s)
+            for j, s in enumerate(out_shapes[1:], 1)
+        ]
 
     # -- finalize ---------------------------------------------------------
 
@@ -671,8 +665,6 @@ def _kind_str(n: Node) -> str:
         return f"{k}[{p}]"
     if k == "slice_rows":
         return f"slice_rows[{p[0]}:{p[1]}]"
-    if k == "select":
-        return f"select[{p}]"
     if k == "invoke":
         name = p[0] if isinstance(p, tuple) else p
         return f"invoke[{name}]"
@@ -680,7 +672,7 @@ def _kind_str(n: Node) -> str:
         return f"cond[{p[0]},{p[1]}]"
     if k == "cond_grad":
         return f"cond_grad[{p.then_name},{p.else_name}]"
-    if k in ("fwd_value", "sink_add"):
+    if k in ("fwd_value", "sink_add", "result"):
         return f"{k}[{p}]"
     if k == "grad_out":
         return f"{k}[{p[0]}]"
@@ -734,7 +726,6 @@ class CondGradPayload(NamedTuple):
     then_name: str
     else_name: str
     n_args: int
-    n_union: int  # number of union-layout output slots
     cap_counts: tuple  # (len(then captures), len(else captures)) after wiring
     then_slots: tuple  # union-layout position of each then-branch output
     else_slots: tuple
@@ -850,13 +841,14 @@ class CompiledBody:
                 initial.add(nd.id)
         self.outputs = list(g.outputs)
         self.kernels, self.batched, self.work = kernels.compile_body(g)
-        # Cut the body into units. Each control node is one. The compute
-        # nodes whose non-init inputs lead back to the same set of control
-        # nodes (their key) form one segment, which the scheduler readies,
-        # runs and settles as one: the key of a compute node is the union,
-        # over its non-init inputs, of {i} for a control node i and of i's
-        # key otherwise. Node ids order the inputs of every compute node
-        # before it, so one pass assigns the units.
+        # Cut the body into units. Each control node is one, joined by the
+        # result slots of its further outputs, so a unit lists a call's
+        # outputs in order. The compute nodes whose non-init inputs lead back
+        # to the same set of control nodes (their key) form one segment,
+        # which the scheduler readies, runs and settles as one: the key of a
+        # compute node is the union, over its non-init inputs, of {i} for a
+        # control node i and of i's key otherwise. Node ids order the inputs
+        # of every compute node before it, so one pass assigns the units.
         control = kernels.CONTROL_KINDS
         keys: list = [None] * n
         segments: dict = {}  # key -> unit
@@ -866,7 +858,10 @@ class CompiledBody:
             i = nd.id
             if i in initial:
                 continue
-            if nd.kind in control:
+            if nd.kind == "result":
+                keys[i] = keys[nd.inputs[0]]
+                u = unit_of[nd.inputs[0]]
+            elif nd.kind in control:
                 keys[i] = frozenset((i,))
                 u = len(members)
                 members.append([])
@@ -901,7 +896,7 @@ class CompiledBody:
         for nd in g.nodes:
             i = nd.id
             u = unit_of[i]
-            if u < 0:
+            if u < 0 or nd.kind == "result":
                 continue
             ins = nd.inputs
             site = _mirrored_site(nd) if is_top else None

@@ -2,13 +2,15 @@
 
 Each kernel maps the frame's value list to the node's value. Control kinds
 (invoke, cond, cond_grad, the gradient sink's adds and reads) have no kernel
-here; the scheduler interprets those. Init kinds (arguments, captures,
-constants, and the forward values a gradient frame reads from the forward
-frame it mirrors) have none either: their values are set when the frame is
-created. Nodes created by gradient synthesis are compiled in a
-None-propagating variant: a None operand means "no gradient flows", and the
-node's result is then None as well. Forward nodes stay strict, so a missing
-value in a forward body fails loudly instead of leaking None.
+here; the scheduler interprets those, and a returning call writes its further
+outputs straight into its `result` slots, which have none either. Init kinds
+(arguments, captures, constants, and the forward values a gradient frame
+reads from the forward frame it mirrors) have none either: their values are
+set when the frame is created. Nodes created by gradient synthesis are
+compiled in a None-propagating variant: a None operand means "no gradient
+flows", and the node's result is then None as well. Forward nodes stay
+strict, so a missing value in a forward body fails loudly instead of leaking
+None.
 
 The maths kinds and `grad_accum` also get a batched variant (see
 `compile_body`), which the scheduler runs once for a group of k frames at the
@@ -33,9 +35,10 @@ from .tensor import Tensor, index_value, softmax_cross_entropy
 from . import graph as _g
 
 CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "sink_add", "grad_out"})
-# Kernels that only move or sum values the frame already holds: they are never
-# worth handing to another thread.
-PLUMBING_KINDS = frozenset({"select", "grad_accum"})
+# Kernels that only sum values the frame already holds: they are never worth
+# handing to another thread. No kernel only moves values: a call's outputs go
+# straight into its result slots.
+PLUMBING_KINDS = frozenset({"grad_accum"})
 INIT_KINDS = frozenset(
     {"const", "none_const", "input", "capture", "fwd_value", "placeholder", "parameter"}
 )
@@ -197,10 +200,6 @@ def _build_strict(node):
             return t.set(int(index_value(v[b])), zcol)
 
         return tzero
-    if k == "select":
-        (a,) = ins
-        idx = node.payload
-        return lambda v: v[a][idx]
     raise _g.BuildError(f"no kernel for kind {node.kind!r}")
 
 
@@ -227,9 +226,6 @@ def add_grads(a, b):
     return _W(a.a + b.a)
 
 
-_CUSTOM_NONE = frozenset({"grad_accum", "select"})
-
-
 def _none_prop(fn, ins):
     def wrapped(v):
         for i in ins:
@@ -243,21 +239,21 @@ def _none_prop(fn, ins):
 def compile_body(g) -> tuple[list, list, list]:
     """Per node id: the per-frame kernel, its batched variant, and its work.
 
-    Control and init nodes get None, None, 0. The work is a rough count of
-    multiply-adds per frame (inf for a stall): the scheduler hands a node's
-    kernel for a group to another thread only when that is large enough to
-    outweigh the handoff, since small numpy kernels hold the interpreter lock
-    throughout.
+    Control, init and result nodes get None, None, 0. The work is a rough
+    count of multiply-adds per frame (inf for a stall): the scheduler hands a
+    node's kernel for a group to another thread only when that is large
+    enough to outweigh the handoff, since small numpy kernels hold the
+    interpreter lock throughout.
     """
     n = len(g.nodes)
     fns: list = [None] * n
     batched: list = [None] * n
     work: list = [0.0] * n
     for node in g.nodes:
-        if node.kind in CONTROL_KINDS or node.kind in INIT_KINDS:
+        if node.kind in CONTROL_KINDS or node.kind in INIT_KINDS or node.kind == "result":
             continue
         fn = _build_strict(node)
-        if (g.mirrors is not None or node.grad_flag) and node.kind not in _CUSTOM_NONE:
+        if (g.mirrors is not None or node.grad_flag) and node.kind != "grad_accum":
             fn = _none_prop(fn, tuple(node.inputs))
         fns[node.id] = fn
         batched[node.id] = _build_batched(node)

@@ -22,6 +22,7 @@ from rdg import (
     Tensor,
     differentiate,
     run,
+    run_batch,
     run_training_step,
 )
 from rdg.graph import CondGradPayload, Shape
@@ -379,6 +380,62 @@ class TestCondRouting:
         assert grads["b"].item() == 2 * 5.0 * 9.0
         assert np.array_equal(grads["a"].a, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_branches_capturing_different_body_nodes(self, threads):
+        # Outer computes y1 = W1 x and y2 = W2 x, then conds between Use1,
+        # which captures y1, and Use2, which captures y2. The cond gradient
+        # returns x's gradient and each branch's capture gradient in slots
+        # of their own; the untaken branch's slot gets no gradient.
+        g = Graph()
+        w1 = g.parameter("w1", (2, 2))
+        w2 = g.parameter("w2", (2, 2))
+        x = g.placeholder((2, 1), "x")
+        pick = g.placeholder((1, 1), "pick")
+        outer = g.declare_subgraph("Outer", [(2, 1)], [(2, 1)])
+        use1 = g.declare_subgraph("Use1", [(2, 1)], [(2, 1)])
+        use2 = g.declare_subgraph("Use2", [(2, 1)], [(2, 1)])
+        ob = g.body(outer)
+        (xo,) = ob.args
+        y1 = ob.matmul(w1, xo)
+        y2 = ob.matmul(w2, xo)
+        b1 = ob.body(use1)
+        b1.set_outputs([b1.hadamard(b1.tanh(y1), b1.args[0])])
+        g.define_subgraph(use1, b1)
+        b2 = ob.body(use2)
+        b2.set_outputs([b2.sub(b2.square(y2), b2.args[0])])
+        g.define_subgraph(use2, b2)
+        ob.set_outputs(ob.cond(pick, use1, use2, [xo]))
+        g.define_subgraph(outer, ob)
+        out = g.invoke(outer, [x])[0]
+        loss = g.matmul(g.transpose(out), out)
+        gfin, gm = differentiate(g.finalize(), loss, [w1, w2, x])
+
+        def ref(w1v, w2v, xv, taken):
+            o = np.tanh(w1v @ xv) * xv if taken else np.square(w2v @ xv) - xv
+            return float((o.T @ o)[0, 0])
+
+        rng = np.random.default_rng(3)
+        vals = {"w1": rng.normal(size=(2, 2)), "w2": rng.normal(size=(2, 2))}
+        xv = rng.normal(size=(2, 1))
+        params = {k: Tensor.from_array(v) for k, v in vals.items()}
+        opts = RunOptions(threads=threads)
+        feeds = [{"x": Tensor.from_array(xv), "pick": Tensor.scalar(p)} for p in (1.0, 0.0)]
+        fetches = [gm.loss] + [gm.param_grads[n] for n in ("w1", "w2", "x")]
+        batch = run_batch(gfin, feeds, fetches, opts, params)  # both branches in one group
+        for taken, fd, res in zip((True, False), feeds, batch):
+            lv, grads = run_training_step(gfin, gm, fd, params, opts)
+            assert lv == pytest.approx(ref(vals["w1"], vals["w2"], xv, taken), rel=1e-12)
+            want = {
+                "w1": fd_grad(lambda a: ref(a, vals["w2"], xv, taken), vals["w1"]),
+                "w2": fd_grad(lambda a: ref(vals["w1"], a, xv, taken), vals["w2"]),
+                "x": fd_grad(lambda a: ref(vals["w1"], vals["w2"], a, taken), xv),
+            }
+            for name, got in zip(("w1", "w2", "x"), res.values[1:]):
+                assert np.array_equal(got.a, grads[name].a), name
+                np.testing.assert_allclose(got.a, want[name], rtol=1e-6, atol=1e-8)
+            untaken = "w2" if taken else "w1"
+            assert np.array_equal(grads[untaken].a, np.zeros((2, 2)))
+
     def test_missing_branch_record_is_reported(self):
         g = Graph()
         ga = g.declare_subgraph("GA", [(1, 1)], [(1, 1)])
@@ -396,7 +453,6 @@ class TestCondRouting:
                 then_name="GA",
                 else_name="GB",
                 n_args=1,
-                n_union=1,
                 cap_counts=(0, 0),
                 then_slots=(0,),
                 else_slots=(0,),

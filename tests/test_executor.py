@@ -55,6 +55,26 @@ class TestBasics:
         res = run(fg, {"x": Tensor.scalar(2.0)}, [y, y, x])
         assert [v.item() for v in res.values] == [-2.0, -2.0, 2.0]
 
+    def test_multi_output_calls_fill_their_result_slots(self):
+        # F computes its outputs; G's are a constant and an argument, so its
+        # call completes as it is spawned. Every output is fetched.
+        g = Graph()
+        f = g.declare_subgraph("F", [(1, 1)], [(1, 1), (1, 1), (1, 1)])
+        fb = g.body(f)
+        (a,) = fb.args
+        fb.set_outputs([fb.add(a, a), fb.neg(a), a])
+        g.define_subgraph(f, fb)
+        h = g.declare_subgraph("G", [(1, 1)], [(1, 1), (1, 1)])
+        hb = g.body(h)
+        hb.set_outputs([hb.constant(Tensor.scalar(7.0)), hb.args[0]])
+        g.define_subgraph(h, hb)
+        x = g.placeholder((1, 1), "x")
+        f0, f1, f2 = g.invoke(f, [x])
+        g0, g1 = g.invoke(h, [f1])
+        fg = g.finalize()
+        res = run(fg, {"x": Tensor.scalar(0.5)}, [g1, f0, f1, f2, g0], RunOptions(debug=True))
+        assert [v.item() for v in res.values] == [-0.5, 1.0, -0.5, 0.5, 7.0]
+
     def test_unfed_placeholder_named(self):
         g = Graph()
         x = g.placeholder((1, 1), "price")
@@ -566,6 +586,76 @@ class TestRunBatch:
         g, x, y = build_countdown()
         with pytest.raises(ValueError, match="empty"):
             run_batch(g.finalize(), [], [y])
+
+
+def _stalling_countdown(stall: float):
+    """F(n) counts n down to Base, which adds row `i` of a 3x1 table. Each
+    Step stalls in two independent sleeps, which a run with two threads
+    hands to its worker."""
+    g = Graph()
+    f = g.declare_subgraph("F", *scalar_sig())
+    step = g.declare_subgraph("Step", *scalar_sig())
+    base = g.declare_subgraph("Base", *scalar_sig())
+    i = g.placeholder((1, 1), "i")
+    fb = g.body(f)
+    (n,) = fb.args
+    fb.set_outputs(fb.cond(n, step, base, [n]))
+    g.define_subgraph(f, fb)
+    sb = g.body(step)
+    (m,) = sb.args
+    a = sb.unary(m, ("sleep", stall))
+    b = sb.unary(m, ("sleep", stall))
+    dec = sb.sub(sb.sub(sb.add(a, b), m), sb.constant(Tensor.scalar(1.0)))
+    sb.set_outputs(sb.invoke(f, [dec]))
+    g.define_subgraph(step, sb)
+    bb = g.body(base)
+    table = bb.constant(Tensor.from_array(np.array([[1.0], [2.0], [3.0]])))
+    bb.set_outputs([bb.add(bb.args[0], bb.gather_row(table, i))])
+    g.define_subgraph(base, bb)
+    x = g.placeholder((1, 1), "x")
+    (y,) = g.invoke(f, [x])
+    return g.finalize(), y
+
+
+class TestStop:
+    """A failed or timed-out run stops within a bound and joins its workers."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        started = []
+        worker = executor._worker
+
+        def counted(state, wid):
+            started.append(wid)
+            worker(state, wid)
+
+        monkeypatch.setattr(executor, "_worker", counted)
+        before = set(threading.enumerate())
+        yield started
+        after = set(threading.enumerate())
+        assert started  # the stalls were offloaded
+        assert after <= before
+        assert not [t for t in after if "_worker" in t.name]
+
+    def test_timeout_stops_the_run(self, workers):
+        fg, y = _stalling_countdown(0.02)
+        feeds = {"x": Tensor.scalar(100.0), "i": Tensor.scalar(0.0)}  # 2 s of stalls
+        t0 = time.monotonic()
+        with pytest.raises(ExecutionError, match="timed out after 0.2s"):
+            run(fg, feeds, [y], RunOptions(threads=2, timeout_s=0.2))
+        assert time.monotonic() - t0 < 1.0
+
+    def test_kernel_error_in_one_instance_stops_the_batch(self, workers):
+        fg, y = _stalling_countdown(0.02)
+        feeds = [
+            {"x": Tensor.scalar(5.0), "i": Tensor.scalar(0.0)},
+            {"x": Tensor.scalar(5.0), "i": Tensor.scalar(7.0)},  # no row 7
+        ]
+        assert run(fg, feeds[0], [y], RunOptions(threads=2)).values[0].item() == 1.0
+        t0 = time.monotonic()
+        with pytest.raises(ExecutionError, match=r"\(gather_row\) .*row 7 out of range"):
+            run_batch(fg, feeds, [y], RunOptions(threads=2))
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestCache:

@@ -3,7 +3,7 @@
 import pytest
 
 from rdg import BuildError, Graph, Tensor
-from rdg.graph import RowTable, Shape, TableShape, TupleShape
+from rdg.graph import RowTable, Shape, TableShape
 
 
 def scalar_sig():
@@ -138,23 +138,24 @@ class TestSignatures:
         with pytest.raises(BuildError, match="predicate must be 1x1"):
             g.cond(p, a, b, [x])
 
-    def test_multi_output_invoke_yields_selects(self):
+    def test_multi_output_invoke_yields_result_slots(self):
+        # the call node holds output 0, and a result slot right after it
+        # each further output
         g = Graph()
-        f = g.declare_subgraph("F", [(1, 1)], [(2, 1), (3, 1)])
+        f = g.declare_subgraph("F", [(1, 1)], [(2, 1), (3, 1), (4, 1)])
         fb = g.body(f)
-        (a,) = fb.args
-        c1 = fb.constant(Tensor.zeros(2, 1))
-        c2 = fb.constant(Tensor.zeros(3, 1))
-        fb.set_outputs([c1, c2])
+        fb.set_outputs([fb.constant(Tensor.zeros(r, 1)) for r in (2, 3, 4)])
         g.define_subgraph(f, fb)
         x = g.placeholder((1, 1), "x")
         outs = g.invoke(f, [x])
-        assert len(outs) == 2
-        assert g.shape_of(outs[0]) == Shape(2, 1)
-        assert g.shape_of(outs[1]) == Shape(3, 1)
-        inner = g.nodes[outs[0].id]
-        assert inner.kind == "select"
-        assert isinstance(g.nodes[inner.inputs[0]].shape, TupleShape)
+        assert len(outs) == 3
+        call = outs[0].id
+        assert g.nodes[call].kind == "invoke"
+        assert [h.id for h in outs] == [call, call + 1, call + 2]
+        assert [g.shape_of(h) for h in outs] == [Shape(2, 1), Shape(3, 1), Shape(4, 1)]
+        for j, h in enumerate(outs[1:], 1):
+            node = g.nodes[h.id]
+            assert (node.kind, node.payload, node.inputs) == ("result", j, [call])
 
 
 class TestShapeInference:

@@ -468,7 +468,29 @@ class TestGradientGraph:
         tree = generate_synthetic("balanced", 64, 20, 2, np.random.default_rng(0))
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
         res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
-        assert len(res.trace) <= 8_000  # one row per executed (frame, node)
+        assert len(res.trace) <= 7_200  # one row per executed (frame, node)
+
+    def test_treelstm_forward_returns_into_result_slots(self, monkeypatch):
+        # a call returns both TreeLSTM states straight into the caller's
+        # slots: no node execution unpacks them, and no round waits on one
+        cfg = ModelConfig("treelstm", d=16, vocab=21, classes=2)
+        rec = build_recursive(cfg)
+        tree = generate_synthetic("balanced", 64, 20, 2, np.random.default_rng(0))
+        rounds = 0
+        step = executor._round
+
+        def counted(state):
+            nonlocal rounds
+            rounds += 1
+            step(state)
+
+        monkeypatch.setattr(executor, "_round", counted)
+        res = run(
+            rec.graph, make_feeds(rec, tree), [rec.loss], RunOptions(trace=True), init_params(cfg)
+        )
+        assert len(res.trace) == 2_921
+        assert not [r for r in res.trace if r[4].split("[")[0] in ("select", "result")]
+        assert rounds <= 36
 
     def test_linear_treernn_step_rounds(self, monkeypatch):
         # one frame per group: a straight-line segment of a body costs one
