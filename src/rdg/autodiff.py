@@ -436,7 +436,9 @@ def _vjp_invoke(ctx: _Context, node):
     if douts is None:
         return
     gref = ctx.synth.gradient_subgraph(name)
-    gouts = ctx.out.invoke(gref, douts, site=node.id)
+    gd = ctx.synth.registry[gref.name]
+    # the call node exists even when the gradient has no outputs
+    gouts = ctx.out.call_node("invoke", tuple(douts), (gref.name, node.id), gd.out_shapes)
     if ctx.fwd is ctx.out:
         ctx.synth.waits.append(gouts[0])  # settles once the call returned
     for i, arg in enumerate(node.inputs):

@@ -1,10 +1,10 @@
 """Parallel graph runtime: wavefront rounds of batched units.
 
 At finalize each body is cut into units (`CompiledBody`): every control
-node (invoke, cond, cond_grad, sink_add, grad_out) is one, and the compute
-nodes that hang off the same set of control nodes form one segment, a
-straight-line piece of the body. A run advances in rounds. The units that
-became ready during round r (their last input unit ran) run in round r+1.
+node (invoke, cond, cond_grad, grad_out) is one, and the compute nodes that
+hang off the same set of control nodes form one segment, a straight-line
+piece of the body. A run advances in rounds. The units that became ready
+during round r (their last input unit ran) run in round r+1.
 Within a round, the ready (frame, unit) pairs that share a body and a unit
 form one group: all `Leaf` frames at one depth, say, or all `Internal`
 frames whose children returned together. A segment runs for its group in
@@ -24,12 +24,13 @@ stacked kernels that one wide tree fills on its own. Each instance keeps its
 own top frame, gradient sink and fetches; `run` is a batch of one.
 
 The thread that called `run` owns all bookkeeping: it forms the groups,
-counts down dependents, expands control nodes, and returns finished frames
-to their parents. Only kernel computation is handed out: with more than one
-thread, the members of a wave whose estimated work outweighs a thread
-handoff (large matrix products, stalls) are shared among the run's worker
-threads, which start the first time a segment needs them. Smaller kernels
-run where they are, since they hold the interpreter lock throughout. Group
+counts down dependents, expands control nodes, adds to the gradient sinks,
+and returns finished frames to their parents. Only kernel computation is
+handed out: with more than one thread, the members of a wave whose
+estimated work outweighs a thread handoff (large matrix products, stalls)
+are shared among the run's worker threads, which start the first time a
+segment needs them. Smaller kernels run where they are, since they hold the
+interpreter lock throughout. Group
 composition and order follow from the graph and the inputs alone, never
 from which worker finished first, so results are bit-identical for every
 thread count.
@@ -57,9 +58,17 @@ values its gradient reads, and is freed once that gradient frame exists.
 
 Each instance also holds a gradient sink: `sink_add` nodes add every
 gradient contribution to a top-level node (a parameter a body captures, say)
-to the instance's entry for that node as the contribution settles, in the
-scheduler's order, and a top-level `grad_out` node reads the entry once the
-gradient calls it waits on have returned.
+to the instance's entry for that node, and a top-level `grad_out` node reads
+the entry once the gradient calls it waits on have returned. A sink add is a
+member of its source's segment and runs on the scheduler thread. In a
+batched group it reduces the source's stack once per instance, the group's
+frames permuted so that each instance's are contiguous, and adds one partial
+to each instance's entry. A parameter gradient's outer product that only
+the sink reads is fused into it: the sink sums the product over each
+instance's frames as one gemm of the stacked operands, so no frame's product
+is ever formed. Smaller groups add frame by frame, a fused product straight
+from its operands. The summation order follows from the group alone, so
+results stay bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -93,6 +102,8 @@ _BATCH_MIN = 8
 # handoff costs more than the kernel, which holds the interpreter lock
 # throughout anyway.
 _OFFLOAD_WORK = float(1 << 20)
+# The key under which a batched group's `stacks` caches `_by_instance`.
+_BY_INSTANCE = -1
 
 
 class ExecutionError(RuntimeError):
@@ -365,6 +376,9 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, r
     if ret is None:
         ret = pbody.unit_nodes[pbody.unit_of[nid]]
     ret = tuple(zip(ret, body.outputs))
+    if not ret:  # nothing returns into a call with no outputs: its node holds None
+        for parent in parents:
+            parent.values[nid] = None
     children = []
     for parent in parents:
         depth = parent.depth + 1
@@ -465,35 +479,6 @@ def _run_cond_grad(state, body, nid, frames):
         _spawn(state, name, taken[rec], nid, ups + caps, p.cond_site, ret)
 
 
-def _run_sink_add(state, body, nid: int, frames):
-    """Add each frame's contribution to its instance's sink entry, in frame
-    order. A contribution that nothing else reads leaves the frame once
-    added, so a gradient frame that waits on its callees does not keep it."""
-    (src,) = body.inputs[nid]
-    top_id = body.payloads[nid]
-    drop = nid in body.sink_drops
-    for f in frames:
-        f.values[nid] = None
-        v = f.values[src]
-        if drop:
-            f.values[src] = None
-        if v is None:
-            continue
-        sink = f.inst.sink
-        acc = sink.get(top_id)
-        if acc is None:
-            sink[top_id] = v.a.copy() if type(v) is Tensor else v
-        elif type(acc) is np.ndarray and type(v) is Tensor:
-            acc += v.a
-        else:
-            try:
-                sink[top_id] = add_grads(acc, v)
-            except TypeError as exc:
-                state.fail(exc, f, nid)
-                return
-    _settle(state, body, body.unit_of[nid], frames)
-
-
 def _sink_read(sink: dict, nid: int, shape):
     acc = sink.get(nid)
     if acc is None:
@@ -510,8 +495,6 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _run_cond(state, body, nid, frames)
     elif kind == "cond_grad":
         _run_cond_grad(state, body, nid, frames)
-    elif kind == "sink_add":
-        _run_sink_add(state, body, nid, frames)
     else:  # grad_out
         payload = body.payloads[nid]
         for f in frames:
@@ -522,14 +505,15 @@ def _run_control(state: _RunState, body, nid: int, frames):
 # -- segments (kernels on any thread) --------------------------------------
 
 
-def _operands(body, nid: int, frames, stacks: dict) -> list:
-    """A batched kernel's operands: 2-D if one value serves every frame.
+def _operands(body, ids, frames, stacks: dict) -> list:
+    """A batched kernel's operands, the values of node ids `ids`: 2-D if one
+    value serves every frame.
 
     `stacks` holds the segment's results so far and the operands already
     gathered for it, and takes the ones gathered here.
     """
     ops = []
-    for i in body.inputs[nid]:
+    for i in ids:
         a = stacks.get(i)
         if a is None:
             v = frames[0].values[i]
@@ -594,15 +578,15 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
             state.in_flight += k
             state.peak = max(state.peak, state.in_flight)
     try:
+        sink = body.sinks[nid]
+        if sink is not None:
+            return _sink_add(body, nid, sink, frames, stacks)
         batched = None if stacks is None else body.batched[nid]
         if batched is not None:
             try:
-                out = _stack(batched(*_operands(body, nid, frames, stacks)), k)
+                out = _stack(batched(*_operands(body, body.inputs[nid], frames, stacks)), k)
             except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
-                for i in body.inputs[nid]:
-                    if frames[0].values[i] is _PENDING:  # a member that stayed stacked
-                        for f, v in zip(frames, _views(stacks[i], k)):
-                            f.values[i] = v
+                _unstack(body.inputs[nid], frames, stacks)
             else:
                 stacks[nid] = out
                 if body.exposed[nid]:
@@ -622,10 +606,120 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
                 state.in_flight -= k
 
 
+def _unstack(ids, frames, stacks):
+    """Give the frames views of those of nodes `ids` that stayed stacked, for
+    per-frame kernels that read them."""
+    k = len(frames)
+    for i in ids:
+        if frames[0].values[i] is _PENDING:
+            for f, v in zip(frames, _views(stacks[i], k)):
+                f.values[i] = v
+
+
+def _by_instance(frames, stacks: dict):
+    """A batched group's instances in the order of their first frame, a
+    permutation of the frames that makes each instance's frames contiguous
+    in their group order (None if they already are), and where each
+    instance's run starts. Made once per group, for its sinks."""
+    got = stacks.get(_BY_INSTANCE)
+    if got is None:
+        pos: dict = {}
+        for j, f in enumerate(frames):
+            p = pos.get(f.inst)
+            if p is None:
+                pos[f.inst] = [j]
+            else:
+                p.append(j)
+        runs = list(pos.values())
+        perm = list(chain.from_iterable(runs))
+        starts = np.cumsum([0] + [len(r) for r in runs[:-1]])
+        got = stacks[_BY_INSTANCE] = (
+            list(pos), None if perm == list(range(len(frames))) else np.array(perm), starts
+        )
+    return got
+
+
+def _sink_put(sink: dict, top_id: int, v):
+    """Add contribution v (a private array, a Tensor, row gradients or a row
+    table) to a sink entry. A dense entry is a private array, added to in
+    place; mixing kinds in one entry raises TypeError."""
+    acc = sink.get(top_id)
+    if acc is None:
+        sink[top_id] = v.a.copy() if type(v) is Tensor else v
+        return
+    if type(acc) is np.ndarray:
+        if type(v) is Tensor:
+            v = v.a
+        if type(v) is np.ndarray:
+            acc += v
+            return
+    sink[top_id] = add_grads(acc, v)
+
+
+def _sink_add(body, nid: int, sink, frames, stacks):
+    """Sink member `nid`: add each frame's contribution to its instance's
+    sink entry. None, or (exception, frame) for the first frame that failed.
+
+    A batched pass reduces the stacked contributions once per instance, in
+    the group's frame order, and adds one partial per instance; a fused
+    product is summed per instance as one gemm over its stacked operands.
+    Otherwise, or if some frame's contribution is not a dense tensor, each
+    frame adds its own, a fused one computed straight from its operands.
+    Either way the summation order follows from the group alone.
+    """
+    top_id, ids, product, swap = sink
+    if body.exposed[nid]:  # a top-level grad_out waits on it
+        for f in frames:
+            f.values[nid] = None
+    if stacks is not None:
+        k = len(frames)
+        try:
+            ops = [
+                a if a.ndim == 3 else np.broadcast_to(a, (k,) + a.shape)
+                for a in _operands(body, ids, frames, stacks)
+            ]
+        except (AttributeError, ValueError):  # a row gradient, no gradient, or ragged rows
+            _unstack(ids, frames, stacks)
+        else:
+            insts, perm, starts = _by_instance(frames, stacks)
+            if perm is not None:
+                ops = [a[perm] for a in ops]
+            if product is None:
+                parts = np.add.reduceat(ops[0], starts, axis=0)
+            else:
+                if swap:
+                    ops = [x.swapaxes(1, 2) for x in ops]
+                r = ops[0].shape[1]  # rows each frame contributes to A and B
+                a, b = [x.reshape(k * r, x.shape[2]) for x in ops]
+                ends = [*starts[1:], k]
+                parts = [a[s * r : e * r].T @ b[s * r : e * r] for s, e in zip(starts, ends)]
+            for inst, part in zip(insts, parts):
+                try:
+                    _sink_put(inst.sink, top_id, part)
+                except TypeError as exc:
+                    return exc, next(f for f in frames if f.inst is inst)
+            return None
+    for f in frames:
+        vals = f.values
+        if product is None:
+            v = vals[ids[0]]
+        else:
+            a, b = vals[ids[0]], vals[ids[1]]
+            v = None if a is None or b is None else product(a.a, b.a)
+        if v is None:
+            continue
+        try:
+            _sink_put(f.inst.sink, top_id, v)
+        except TypeError as exc:
+            return exc, f
+    return None
+
+
 def _run_members(state: _RunState, body, waves, frames, stacks):
     """Compute a segment's members wave by wave: None, or (exception, frame,
     node id) for the first that failed. With more than one thread, a wave's
-    heavy members are shared among the run's threads."""
+    heavy members are shared among the run's threads. Sink adds have no work
+    and the products fused into them are in no wave, so both stay here."""
     k = len(frames)
     offload = state.opts.threads > 1
     for wave in waves:

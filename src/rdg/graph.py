@@ -785,7 +785,7 @@ class CompiledBody:
         "shared",
         "run_wide",
         "exposed",
-        "sink_drops",
+        "sinks",
         "n_nodes",
         "mirrors",
         "fwd_slots",
@@ -848,7 +848,8 @@ class CompiledBody:
         # which the scheduler readies, runs and settles as one: the key of a
         # compute node is the union, over its non-init inputs, of {i} for a
         # control node i and of i's key otherwise. Node ids order the inputs
-        # of every compute node before it, so one pass assigns the units.
+        # of every compute node before it, so one pass assigns the units. A
+        # `sink_add` is a compute node here: it joins its source's segment.
         control = kernels.CONTROL_KINDS
         keys: list = [None] * n
         segments: dict = {}  # key -> unit
@@ -883,10 +884,10 @@ class CompiledBody:
             members[u].append(i)
         # Per unit: the units that wait on it, and how many units it waits
         # on. Per node: how many nodes read it; whether a frame must hold it
-        # (it is read outside its segment, by a member with no batched
-        # variant, by the gradient, or fetched from the top level); and its
-        # depth among its segment's members, which orders them in waves of
-        # independent members.
+        # (it is read outside its segment, by a member other than a sink add
+        # with no batched variant, by the gradient, or fetched from the top
+        # level); and its depth among its segment's members, which orders
+        # them in waves of independent members.
         deps: list[list[int]] = [[] for _ in members]
         pending = [0] * len(members)
         readers = [0] * n
@@ -914,7 +915,7 @@ class CompiledBody:
                         pending[u] += 1
                 else:
                     level[i] = max(level[i], level[j] + 1)
-                    if self.batched[i] is None:
+                    if self.batched[i] is None and nd.kind != "sink_add":
                         exposed[j] = True
             w = waves[u]
             if w is not None:
@@ -924,9 +925,29 @@ class CompiledBody:
         held = set(g.outputs).union(reads)
         for i in held:
             exposed[i] = True
+        # Per node: how a `sink_add` member adds its contribution, else None:
+        # (top-level node id, operand ids, per-frame product, operand swap;
+        # see kernels.FUSED_SUMS). A sink reads its source from the stacks,
+        # so the source is not exposed for it. A `matmul_nt`/`matmul_tn`
+        # source that only the sink reads is fused into it: the sink sums the
+        # product over each instance's frames as one gemm of the operands,
+        # and the source leaves the waves, so no frame's product is ever
+        # computed, nor handed to a worker. The top level keeps its products,
+        # since any of its nodes may be fetched.
+        self.sinks = sinks = [None] * n
+        for nd in g.nodes:
+            if nd.kind != "sink_add":
+                continue
+            (src,) = nd.inputs
+            tag = self.payloads[src] if self.kinds[src] == "binary" else None
+            if tag in kernels.FUSED_SUMS and not is_top and readers[src] == 1 and src not in held:
+                waves[unit_of[src]][level[src]].remove(src)
+                sinks[nd.id] = (nd.payload, self.inputs[src], *kernels.FUSED_SUMS[tag])
+            else:
+                sinks[nd.id] = (nd.payload, (src,), None, None)
         self.unit_nodes = [tuple(ms) for ms in members]
         # per unit: its members in waves, None for a control node
-        self.waves = [w and tuple(map(tuple, w)) for w in waves]
+        self.waves = [w and tuple(tuple(ms) for ms in w if ms) for w in waves]
         self.pending0 = pending
         self.initial_ready = [u for u, p in enumerate(pending) if p == 0]
         self.sole_dependents = [tuple([d for d in ds if pending[d] == 1]) for ds in deps]
@@ -940,10 +961,3 @@ class CompiledBody:
                 mask[unit_of[i]] = True
         self.completion_mask = mask
         self.completion_total = sum(mask)
-        # sink adds whose contribution nothing else reads: it leaves the
-        # frame once added
-        self.sink_drops = frozenset(
-            nd.id
-            for nd in g.nodes
-            if nd.kind == "sink_add" and readers[nd.inputs[0]] == 1 and nd.inputs[0] not in held
-        )

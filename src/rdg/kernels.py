@@ -1,9 +1,12 @@
 """Per-node compute closures, compiled once at finalize.
 
 Each kernel maps the frame's value list to the node's value. Control kinds
-(invoke, cond, cond_grad, the gradient sink's adds and reads) have no kernel
-here; the scheduler interprets those, and a returning call writes its further
-outputs straight into its `result` slots, which have none either. Init kinds
+(invoke, cond, cond_grad, the gradient sink's reads) have no kernel here; the
+scheduler interprets those, and a returning call writes its further outputs
+straight into its `result` slots, which have none either. The sink's adds
+have none: they are segment members that the scheduler runs from
+`CompiledBody.sinks`, summing a matmul source that only they read
+(`FUSED_SUMS`) without forming its per-frame products. Init kinds
 (arguments, captures, constants, and the forward values a gradient frame
 reads from the forward frame it mirrors) have none either: their values are
 set when the frame is created. Nodes created by gradient synthesis are
@@ -34,7 +37,7 @@ import numpy as np
 from .tensor import Tensor, index_value, softmax_cross_entropy
 from . import graph as _g
 
-CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "sink_add", "grad_out"})
+CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "grad_out"})
 # Kernels that only sum values the frame already holds: they are never worth
 # handing to another thread. No kernel only moves values: a call's outputs go
 # straight into its result slots.
@@ -79,6 +82,16 @@ _BINARY = {
     "matmul_nt": lambda a, b: a @ b.T,
     "matmul_tn": lambda a, b: a.T @ b,
     "softmax_xent_bwd": None,  # handled specially: needs the label as an index
+}
+
+
+# Products a sink sums over a group's frames as one gemm: the per-frame
+# product, and whether to swap the last two axes of both k-stacked operands
+# to bring it to the form a_jᵀ b_j. The sum over frames j is then Aᵀ B, with
+# A and B the operands' frames stacked row-wise.
+FUSED_SUMS = {
+    "matmul_nt": (_BINARY["matmul_nt"], True),
+    "matmul_tn": (_BINARY["matmul_tn"], False),
 }
 
 
@@ -239,18 +252,20 @@ def _none_prop(fn, ins):
 def compile_body(g) -> tuple[list, list, list]:
     """Per node id: the per-frame kernel, its batched variant, and its work.
 
-    Control, init and result nodes get None, None, 0. The work is a rough
-    count of multiply-adds per frame (inf for a stall): the scheduler hands a
-    node's kernel for a group to another thread only when that is large
-    enough to outweigh the handoff, since small numpy kernels hold the
-    interpreter lock throughout.
+    Control, init, result and sink nodes get None, None, 0, so a sink add,
+    which writes its instance's sink, never leaves the scheduler thread. The
+    work is a rough count of multiply-adds per frame (inf for a stall): the
+    scheduler hands a node's kernel for a group to another thread only when
+    that is large enough to outweigh the handoff, since small numpy kernels
+    hold the interpreter lock throughout.
     """
     n = len(g.nodes)
     fns: list = [None] * n
     batched: list = [None] * n
     work: list = [0.0] * n
     for node in g.nodes:
-        if node.kind in CONTROL_KINDS or node.kind in INIT_KINDS or node.kind == "result":
+        k = node.kind
+        if k in CONTROL_KINDS or k in INIT_KINDS or k in ("result", "sink_add"):
             continue
         fn = _build_strict(node)
         if (g.mirrors is not None or node.grad_flag) and node.kind != "grad_accum":

@@ -347,6 +347,32 @@ class TestRecursion:
         assert grads["w"].item() == 4.0 - 2.0  # x^2 + x
         assert grads["x"].item() == -6.0 + 1.5  # 2 w x + w
 
+    def test_invoke_of_subgraph_without_inputs(self):
+        # loss = (u tanh(W v))^2 computed by F, which takes no inputs and
+        # captures only W: F__grad has no outputs, so the gradient call is a
+        # call node alone, and its sink adds are all W's gradient
+        g = Graph()
+        w = g.parameter("W", (2, 2))
+        f = g.declare_subgraph("F", [], [(1, 1)])
+        fb = g.body(f)
+        u = fb.constant(Tensor.from_rows([[0.5, -1.0]]))
+        v = fb.constant(Tensor.from_rows([[2.0], [0.25]]))
+        fb.set_outputs([fb.square(fb.matmul(u, fb.tanh(fb.matmul(w, v))))])
+        g.define_subgraph(f, fb)
+        (loss,) = g.invoke(f, [])
+        gfin, gm = differentiate(g.finalize(), loss, [w])
+        w0 = np.array([[0.3, -0.2], [0.1, 0.7]])
+        uv, vv = np.array([[0.5, -1.0]]), np.array([[2.0], [0.25]])
+
+        def f_np(wa):
+            return float((uv @ np.tanh(wa @ vv))[0, 0] ** 2)
+
+        lv, grads = run_training_step(
+            gfin, gm, {}, {"W": Tensor(2, 2, w0.ravel())}, RunOptions(debug=True)
+        )
+        assert lv == pytest.approx(f_np(w0), rel=1e-12)
+        np.testing.assert_allclose(grads["W"].a, fd_grad(f_np, w0), rtol=1e-6, atol=1e-9)
+
 
 class TestCondRouting:
     def test_untaken_branch_parameter_gets_exact_zeros(self):

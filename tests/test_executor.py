@@ -2,7 +2,10 @@
 error context."""
 
 import gc
+import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -11,6 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rdg
 from rdg import (
     ExecutionError, Graph, RunOptions, Tensor, differentiate, executor, kernels, run, run_batch,
 )
@@ -486,6 +490,76 @@ class TestRunBatch:
             for name, got in zip(gm.param_order, res.values[1:]):
                 want = want_grads[name]
                 assert np.all(np.abs(_dense(got) - want) <= 1e-7 * np.abs(want) + 1e-9)
+
+    def test_sink_sums_each_instance_of_interleaved_groups(self, monkeypatch):
+        # Four trees, one linear. The two balanced ones reach each level in
+        # the same round, so their leaf and internal groups run batched with
+        # the two instances' frames in turn: each sink add reduces a group
+        # once per instance, and every instance still gets exactly its own
+        # parameter gradients.
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
+        model = build_recursive(cfg)
+        g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+        params = init_params(cfg, seed=3, scale=0.3)
+        rng = np.random.default_rng(7)
+        trees = [
+            generate_synthetic(shape, leaves, 10, 2, rng)
+            for shape, leaves in (
+                ("balanced", 16), ("linear", 12), ("balanced", 16), ("moderate", 16),
+            )
+        ]
+        feeds = [make_feeds(model, t) for t in trees]
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        interleaved = 0
+        by_instance = executor._by_instance
+
+        def counted(frames, stacks):
+            nonlocal interleaved
+            got = by_instance(frames, stacks)
+            interleaved += got[1] is not None  # a permutation was needed
+            return got
+
+        monkeypatch.setattr(executor, "_by_instance", counted)
+        batch = run_batch(g, feeds, fetches, RunOptions(), params)
+        assert interleaved, "no batched group held interleaved instances"
+        monkeypatch.setattr(executor, "_by_instance", by_instance)
+        for tree, fd, res in zip(trees, feeds, batch):
+            single = run(g, fd, fetches, RunOptions(), params)
+            want_loss, want_grads = oracle_forward_backward("treelstm", params, tree)
+            assert abs(res.values[0].item() - want_loss) <= 1e-9
+            for name, got, alone in zip(gm.param_order, res.values[1:], single.values[1:]):
+                got, alone, want = _dense(got), _dense(alone), want_grads[name]
+                assert np.abs(got - alone).max() <= 1e-12 * np.abs(alone).max(), name
+                assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + 1e-9), name
+
+    def test_wide_gradient_batch_fits_in_memory(self):
+        # A TreeLSTM d=256 gradient run over 25 balanced 64-leaf trees: a sink
+        # sums each group's parameter-gradient products as one gemm per
+        # instance, so no frame ever holds its 256x256 outer products.
+        script = (
+            "import resource, numpy as np\n"
+            "from rdg import RunOptions, differentiate, run_batch\n"
+            "from rdg.data import generate_synthetic\n"
+            "from rdg.models import ModelConfig, build_recursive, init_params, make_feeds\n"
+            "cfg = ModelConfig('treelstm', d=256, vocab=21, classes=2)\n"
+            "m = build_recursive(cfg)\n"
+            "g, gm = differentiate(m.graph, m.loss, list(m.params.values()))\n"
+            "rng = np.random.default_rng(0)\n"
+            "feeds = [make_feeds(m, generate_synthetic('balanced', 64, 20, 2, rng))\n"
+            "         for _ in range(25)]\n"
+            "fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]\n"
+            "res = run_batch(g, feeds, fetches, RunOptions(), init_params(cfg))\n"
+            "assert all(np.isfinite(r.values[0].item()) for r in res)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(rdg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert out.returncode == 0, out.stderr
+        peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 1536, f"peak resident memory {peak_mb:.0f} MB"
 
     def test_bit_identical_when_workers_compute_groups(self):
         # At d=256 the gate products of a round are large enough to be handed
