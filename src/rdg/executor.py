@@ -12,11 +12,19 @@ one call, member by member in waves of independent members. From
 `_BATCH_MIN` frames up each member runs as one stacked numpy kernel over the
 k per-frame values (the batched variants in `kernels.py`), and its result
 stays one read-only stack; frames get views of it only where something
-outside the segment reads it. Smaller groups run the per-frame kernels.
+outside the segment reads it. Smaller groups run it frame by frame.
 Independent subtrees thus cost one call per segment and level rather than
 one per node and frame, which is how the recursive form turns a wide
 frontier into less work even where a global interpreter lock serialises
 small numpy ops.
+
+A group under `_BATCH_MIN` frames runs its segment as one generated function
+per frame (`kernels.compile_segment`, made on the segment's first such group
+and kept on its body): the members run in the member loop's order on plain
+arrays, and only values read outside the segment become tensors in the
+frame. A segment with a member heavy enough to hand to a worker thread at
+some group size under `_BATCH_MIN` (a stall) keeps the member loop, so the
+thread count never changes which path a group takes.
 
 `run_batch` runs several instances of a graph in one wavefront: their
 frames at the same unit share groups, so a batch of narrow trees fills the
@@ -36,7 +44,10 @@ from which worker finished first, so results are bit-identical for every
 thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
-join the next round. A call node holds its first output and the `result`
+join the next round. What a call node fixes for every frame it creates on
+one branch (the target body, which argument slots one template per
+instance shares, where the outputs return) is a record built on the call
+node's first use and kept on its body. A call node holds its first output and the `result`
 nodes right after it the others, all in the call's unit. A child that
 completes writes its outputs straight into those slots and settles that
 unit, so a call with several outputs costs its caller no more than a call
@@ -84,7 +95,7 @@ from queue import Empty, SimpleQueue
 import numpy as np
 
 from .graph import FinalizedGraph, NodeHandle, Shape
-from .kernels import add_grads
+from .kernels import compile_segment, sink_put
 from .tensor import Tensor
 
 _PENDING = object()
@@ -343,43 +354,91 @@ def _return(f: _Frame):
         pvals[i] = vals[o]
 
 
-def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, ret=None):
-    """Create one child frame of `name` per parent, called from node `nid`.
+class _CallSite:
+    """What one call node fixes for every frame it spawns on one branch:
+    the target body, the parent's node ids that fill the child's argument
+    slots, split into slots that one template per instance shares and slots
+    each child sets, where the child's outputs return, and whether the
+    parent records the child for a gradient call. Built on a call node's
+    first use (see `_call_site`)."""
 
-    The child's arguments are the parent's values at node ids `ids`, and its
-    outputs return into the parent's node ids `ret`, by default the call
-    node and its result slots. A gradient call passes the forward call site
-    it mirrors, and each child reads the forward frame popped from its
-    parent's record there; a forward call that a gradient call mirrors
-    records each child. Captures of top-level nodes hold one value per
-    instance, so each instance keeps a template per body with those set.
-    """
-    body = state.g.bodies[name]
-    slots = body.arg_slots
-    if len(ids) != len(slots):
-        state.fail(
-            ExecutionError(
-                f"subgraph {name!r} expects {len(slots)} values "
+    __slots__ = (
+        "name", "body", "shared", "own", "ret", "site", "fwd_site", "record", "untaken", "error",
+    )
+
+    def __init__(self, g: FinalizedGraph, pbody, nid: int, branch: int):
+        kind = pbody.kinds[nid]
+        p = pbody.payloads[nid]
+        ids = pbody.inputs[nid]
+        unit = pbody.unit_nodes[pbody.unit_of[nid]]  # the call node and its result slots
+        ret = unit
+        self.fwd_site = self.untaken = None
+        if kind == "invoke":
+            self.name, _, self.fwd_site = p
+        elif kind == "cond":
+            tname, ename, ct, ce = p
+            n_args = len(ids) - 1 - ct - ce
+            caps = ids[1 + n_args : 1 + n_args + ct] if branch else ids[1 + n_args + ct :]
+            self.name = tname if branch else ename
+            ids = ids[1 : 1 + n_args] + caps
+        else:  # cond_grad: the gradient of the branch the forward cond ran
+            ct, ce = p.cap_counts
+            n_up = len(ids) - ct - ce
+            caps = ids[n_up : n_up + ct] if branch else ids[n_up + ct :]
+            self.name = p.then_name if branch else p.else_name
+            ids = ids[:n_up] + caps
+            ret = [unit[s] for s in (p.then_slots if branch else p.else_slots)]
+            self.untaken = [i for i in unit if i not in ret]  # the other branch's captures
+            self.fwd_site = p.cond_site
+        self.body = body = g.bodies[self.name]
+        slots = body.arg_slots
+        self.error = None
+        if len(ids) != len(slots):
+            self.error = (
+                f"subgraph {self.name!r} expects {len(slots)} values "
                 f"(inputs plus captures), got {len(ids)}"
-            ),
-            parents[0], nid,
-        )
+            )
+        self.shared = [(slot, i) for slot, i in zip(slots, ids) if body.shared[slot]]
+        self.own = [(slot, i) for slot, i in zip(slots, ids) if not body.shared[slot]]
+        self.ret = tuple(zip(ret, body.outputs))
+        self.site = nid if self.fwd_site is None else self.fwd_site
+        self.record = nid in pbody.recorded
+
+
+def _call_site(state: _RunState, pbody, nid: int, branch: int = 0) -> _CallSite:
+    """Node nid's call site record for `branch` (1 then, 0 else; 0 for an
+    invoke), kept on the body from its first use. Two runs that build one at
+    once build the same record."""
+    s = pbody.call_sites.get((nid, branch))
+    if s is None:
+        s = pbody.call_sites[(nid, branch)] = _CallSite(state.g, pbody, nid, branch)
+    return s
+
+
+def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
+    """Create one child frame of call site s per parent, called from node
+    `nid`.
+
+    The child's arguments are the parent's values at the site's node ids,
+    and its outputs return into the parent's node ids `s.ret`, by default the
+    call node and its result slots. A gradient call's child reads the forward
+    frame popped from its parent's record at the forward call site it
+    mirrors; a forward call that a gradient call mirrors records each child.
+    Captures of top-level nodes hold one value per instance, so each instance
+    keeps a template per body with those set.
+    """
+    if s.error is not None:
+        state.fail(ExecutionError(s.error), parents[0], nid)
         return
-    shared = []
-    own = []
-    for slot, i in zip(slots, ids):
-        (shared if body.shared[slot] else own).append((slot, i))
+    body = s.body
+    shared, own, ret, site, fwd_site = s.shared, s.own, s.ret, s.site, s.fwd_site
     limit = state.opts.max_recursion_depth
-    site = nid if fwd_site is None else fwd_site
-    pbody = parents[0].body
-    record = nid in pbody.recorded
-    if ret is None:
-        ret = pbody.unit_nodes[pbody.unit_of[nid]]
-    ret = tuple(zip(ret, body.outputs))
     if not ret:  # nothing returns into a call with no outputs: its node holds None
         for parent in parents:
             parent.values[nid] = None
     children = []
+    counted = None  # the instance whose frames `count` children have not been added to
+    count = 0
     for parent in parents:
         depth = parent.depth + 1
         if depth > limit:
@@ -410,10 +469,15 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, r
             for slot, i in body.fwd_slots:
                 values[slot] = fwd.values[i]
             child.children = fwd.children
-        elif record:
+        elif s.record:
             parent.children[nid] = child
         children.append(child)
-        inst.frames[name] = inst.frames.get(name, 0) + 1
+        if inst is not counted:
+            if count:
+                counted.frames[s.name] = counted.frames.get(s.name, 0) + count
+            counted, count = inst, 0
+        count += 1
+    counted.frames[s.name] = counted.frames.get(s.name, 0) + count
     ready = state.ready
     for r in body.initial_ready:
         lst = ready.get((body, r))
@@ -425,35 +489,25 @@ def _spawn(state: _RunState, name: str, parents, nid: int, ids, fwd_site=None, r
         # every output is an argument or a constant: the call is complete
         for f in children:
             _return(f)
+        pbody = parents[0].body
         _settle(state, pbody, pbody.unit_of[nid], parents)
 
 
-def _run_invoke(state, body, nid, frames):
-    name, _, fwd_site = body.payloads[nid]
-    _spawn(state, name, frames, nid, body.inputs[nid], fwd_site)
-
-
 def _run_cond(state, body, nid, frames):
-    tname, ename, ct, ce = body.payloads[nid]
-    ids = body.inputs[nid]
-    n_args = len(ids) - 1 - ct - ce
-    arg_ids = ids[1 : 1 + n_args]
+    pred = body.inputs[nid][0]
     taken = ([], [])  # parents on the else / then branch
     for f in frames:
-        taken[_truthy(f.values[ids[0]])].append(f)
+        taken[_truthy(f.values[pred])].append(f)
     if taken[1]:
-        _spawn(state, tname, taken[1], nid, arg_ids + ids[1 + n_args : 1 + n_args + ct])
+        _spawn(state, _call_site(state, body, nid, 1), taken[1], nid)
     if taken[0] and state.error is None:
-        _spawn(state, ename, taken[0], nid, arg_ids + ids[1 + n_args + ct :])
+        _spawn(state, _call_site(state, body, nid, 0), taken[0], nid)
 
 
 def _run_cond_grad(state, body, nid, frames):
     """Run, per frame, the gradient of the branch that the mirrored forward
     cond ran."""
     p = body.payloads[nid]
-    ids = body.inputs[nid]
-    ct, ce = p.cap_counts
-    n_up = len(ids) - ct - ce
     then_fwd = state.g.bodies[p.then_name].mirrors
     taken = ([], [])  # parents on the else / then branch
     for f in frames:
@@ -463,20 +517,14 @@ def _run_cond_grad(state, body, nid, frames):
             state.fail(ExecutionError(msg), f, nid)
             return
         taken[child.body.label == then_fwd].append(f)
-    ups = ids[:n_up]
-    unit = body.unit_nodes[body.unit_of[nid]]  # the call node and its result slots
-    for rec, name, caps, slots in (
-        (1, p.then_name, ids[n_up : n_up + ct], p.then_slots),
-        (0, p.else_name, ids[n_up + ct :], p.else_slots),
-    ):
+    for rec in (1, 0):
         if not taken[rec] or state.error is not None:
             continue
-        ret = [unit[s] for s in slots]
-        untaken = [i for i in unit if i not in ret]  # the other branch's captures
+        s = _call_site(state, body, nid, rec)
         for f in taken[rec]:
-            for i in untaken:
+            for i in s.untaken:
                 f.values[i] = None
-        _spawn(state, name, taken[rec], nid, ups + caps, p.cond_site, ret)
+        _spawn(state, s, taken[rec], nid)
 
 
 def _sink_read(sink: dict, nid: int, shape):
@@ -490,7 +538,7 @@ def _run_control(state: _RunState, body, nid: int, frames):
     """Control nodes: per frame, on the scheduler thread."""
     kind = body.kinds[nid]
     if kind == "invoke":
-        _run_invoke(state, body, nid, frames)
+        _spawn(state, _call_site(state, body, nid), frames, nid)
     elif kind == "cond":
         _run_cond(state, body, nid, frames)
     elif kind == "cond_grad":
@@ -639,23 +687,6 @@ def _by_instance(frames, stacks: dict):
     return got
 
 
-def _sink_put(sink: dict, top_id: int, v):
-    """Add contribution v (a private array, a Tensor, row gradients or a row
-    table) to a sink entry. A dense entry is a private array, added to in
-    place; mixing kinds in one entry raises TypeError."""
-    acc = sink.get(top_id)
-    if acc is None:
-        sink[top_id] = v.a.copy() if type(v) is Tensor else v
-        return
-    if type(acc) is np.ndarray:
-        if type(v) is Tensor:
-            v = v.a
-        if type(v) is np.ndarray:
-            acc += v
-            return
-    sink[top_id] = add_grads(acc, v)
-
-
 def _sink_add(body, nid: int, sink, frames, stacks):
     """Sink member `nid`: add each frame's contribution to its instance's
     sink entry. None, or (exception, frame) for the first frame that failed.
@@ -695,7 +726,7 @@ def _sink_add(body, nid: int, sink, frames, stacks):
                 parts = [a[s * r : e * r].T @ b[s * r : e * r] for s, e in zip(starts, ends)]
             for inst, part in zip(insts, parts):
                 try:
-                    _sink_put(inst.sink, top_id, part)
+                    sink_put(inst.sink, top_id, part)
                 except TypeError as exc:
                     return exc, next(f for f in frames if f.inst is inst)
             return None
@@ -709,7 +740,7 @@ def _sink_add(body, nid: int, sink, frames, stacks):
         if v is None:
             continue
         try:
-            _sink_put(f.inst.sink, top_id, v)
+            sink_put(f.inst.sink, top_id, v)
         except TypeError as exc:
             return exc, f
     return None
@@ -775,6 +806,55 @@ def _compute_all(state: _RunState, tasks: list) -> list:
     return results
 
 
+def _run_compiled(state: _RunState, body, u: int, seg, frames):
+    """Run compiled segment u for a group, one call per frame: None, or
+    (exception, frame, node id) for the first member that failed.
+
+    The held-back sink adds go in last, member by member. A failure reruns
+    the group through the member loop, which names the failing member and
+    frame as it always does; the run is failing, so what the first pass
+    added to the sinks no longer matters.
+    """
+    if state.tracing:
+        for m in seg.members:
+            state.record(0, body, m, frames)
+    k = len(frames)
+    opts = state.opts
+    if opts.instrument:
+        with state.lock:
+            state.in_flight += k
+            state.peak = max(state.peak, state.in_flight)
+    later = tuple([] for _ in seg.deferred)
+    try:
+        run = seg.run
+        for f in frames:
+            run(f.values, f.inst.sink, later)
+        for top, adds in zip(seg.deferred, later):
+            for sink, v in adds:
+                sink_put(sink, top, v)
+    except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
+        err = _run_members(state, body, body.waves[u], frames, None)
+        return err if err is not None else (exc, frames[0], seg.members[0])
+    finally:
+        if opts.instrument:
+            with state.lock:
+                state.in_flight -= k
+    return None
+
+
+def _compiled(body, u: int):
+    """Segment u's compiled form, made on first use, or False if a member
+    may stall (estimated work large enough to hand to a worker thread, as
+    `_run_members` does, at some group size under `_BATCH_MIN`)."""
+    seg = body.compiled[u]
+    if seg is None:
+        stall = any(
+            body.work[m] * (_BATCH_MIN - 1) >= _OFFLOAD_WORK for w in body.waves[u] for m in w
+        )
+        seg = body.compiled[u] = False if stall else compile_segment(body, u)
+    return seg
+
+
 def _round(state: _RunState):
     """Run every unit group that became ready in the previous round.
 
@@ -799,8 +879,14 @@ def _round(state: _RunState):
             if state.error is not None:
                 return
             continue
-        stacks = {} if len(frames) >= _BATCH_MIN else None
-        error = _run_members(state, body, waves, frames, stacks)
+        if len(frames) >= _BATCH_MIN:
+            error = _run_members(state, body, waves, frames, {})
+        else:
+            seg = _compiled(body, u)
+            if seg:
+                error = _run_compiled(state, body, u, seg, frames)
+            else:
+                error = _run_members(state, body, waves, frames, None)
         if error is not None:
             state.fail(*error)
             return

@@ -780,7 +780,10 @@ class CompiledBody:
         "completion_total",
         "completion_mask",
         "kernels",
+        "nodes",
         "batched",
+        "compiled",
+        "call_sites",
         "work",
         "shared",
         "run_wide",
@@ -840,6 +843,7 @@ class CompiledBody:
                 self.parameters.append((nd.id, nd.payload, nd.shape))
                 initial.add(nd.id)
         self.outputs = list(g.outputs)
+        self.nodes = g.nodes  # for compiling segments on first use
         self.kernels, self.batched, self.work = kernels.compile_body(g)
         # Cut the body into units. Each control node is one, joined by the
         # result slots of its further outputs, so a unit lists a call's
@@ -946,8 +950,14 @@ class CompiledBody:
             else:
                 sinks[nd.id] = (nd.payload, (src,), None, None)
         self.unit_nodes = [tuple(ms) for ms in members]
-        # per unit: its members in waves, None for a control node
+        # per unit: its members in waves, None for a control node; and its
+        # `kernels.CompiledSegment`, made when a group under the executor's
+        # batching cut-over first runs it (False: it runs its member loop)
         self.waves = [w and tuple(tuple(ms) for ms in w if ms) for w in waves]
+        self.compiled = [None] * len(members)
+        # (call node, branch) -> the executor's record of that call site,
+        # made on its first use
+        self.call_sites = {}
         self.pending0 = pending
         self.initial_ready = [u for u, p in enumerate(pending) if p == 0]
         self.sole_dependents = [tuple([d for d in ds if pending[d] == 1]) for ds in deps]

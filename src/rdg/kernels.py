@@ -1,4 +1,5 @@
-"""Per-node compute closures, compiled once at finalize.
+"""Per-node compute closures, compiled once at finalize, and per-segment
+functions, compiled on a segment's first use.
 
 Each kernel maps the frame's value list to the node's value. Control kinds
 (invoke, cond, cond_grad, the gradient sink's reads) have no kernel here; the
@@ -15,26 +16,33 @@ flows", and the node's result is then None as well. Forward nodes stay
 strict, so a missing value in a forward body fails loudly instead of leaking
 None.
 
-The maths kinds and `grad_accum` also get a batched variant (see
-`compile_body`), which the scheduler runs once for a group of k frames at the
+The maths kinds and `grad_accum` also get a batched variant, unless their
+value is a row table (see `compile_body`), which the scheduler runs once for a group of k frames at the
 same node. Its operands are plain arrays: a 2-D array is one value shared by
 every frame of the group (a parameter, a constant), a 3-D array stacks the k
 per-frame values along axis 0. It returns a 3-D array whose slice j is frame
 j's value, or a 2-D array when every operand was shared. Any operand a
-batched variant cannot handle (a row table, a missing gradient) makes it
+batched variant cannot handle (row gradients, a missing gradient) makes it
 raise; the scheduler then runs the node's per-frame kernels, which also name
 the failing frame.
+
+A group too small to stack runs its segment through `compile_segment`: one
+generated function that runs every member for one frame on plain arrays.
+The maths of each kind is one function on arrays (`_dense_fn`), which both
+the per-frame kernels and the generated code call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, index_value, softmax_cross_entropy
+from .tensor import Tensor, index_of, index_value, softmax_cross_entropy
 from . import graph as _g
 
 CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "grad_out"})
@@ -72,9 +80,9 @@ def _unary_fn(tag):
 
 
 _BINARY = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "hadamard": lambda x, y: x * y,
+    "add": operator.add,
+    "sub": operator.sub,
+    "hadamard": operator.mul,
     "tanh_bwd": lambda u, y: u * (1.0 - np.square(y)),  # upstream, tanh output
     "sigmoid_bwd": lambda u, y: u * y * (1.0 - y),  # upstream, sigmoid output
     "square_bwd": lambda u, x: 2.0 * u * x,  # upstream, squared input
@@ -101,67 +109,67 @@ def _binary_fn(tag):
     return _BINARY[tag]
 
 
+def _gather(table, i):
+    i = index_of(i)
+    if not (0 <= i < table.shape[0]):
+        raise IndexError(f"row {i} out of range for {table.shape[0]}x{table.shape[1]} table")
+    return table[i : i + 1]
+
+
+def _xent(logits, label):
+    loss, _ = softmax_cross_entropy(_W(logits), index_of(label))
+    return np.array([[loss]])
+
+
+def _xent_bwd(logits, label):
+    label = index_of(label)
+    z = logits - logits.max()
+    ez = np.exp(z)
+    p = ez / ez.sum()
+    p[0, label] -= 1.0
+    return p
+
+
+def _dense_fn(node):
+    """The maths of a node whose value is a dense tensor, as a function of
+    its operands' arrays. None for the kinds that read or make row tables or
+    row gradients, and for `grad_accum`: their kernels take the frame."""
+    k = node.kind
+    if k == "matmul":
+        return operator.matmul
+    if k == "unary":
+        return _unary_fn(node.payload)
+    if k == "binary":
+        return _xent_bwd if node.payload == "softmax_xent_bwd" else _binary_fn(node.payload)
+    if k == "transpose":
+        return _t
+    if k == "slice_rows":
+        return operator.itemgetter(slice(*node.payload))
+    if k == "concat_rows":
+        return _bconcat
+    if k == "gather_row":
+        return _gather
+    if k == "softmax_xent":
+        return _xent
+    return None
+
+
 def _build_strict(node):
     k = node.kind
     ins = tuple(node.inputs)
-    if k == "matmul":
+    f = _dense_fn(node)
+    if f is not None:
+        if len(ins) == 1:
+            (a,) = ins
+            return lambda v: _W(f(v[a].a))
         a, b = ins
-        return lambda v: _W(v[a].a @ v[b].a)
-    if k == "unary":
-        (a,) = ins
-        f = _unary_fn(node.payload)
-        return lambda v: _W(f(v[a].a))
-    if k == "binary":
-        a, b = ins
-        if node.payload == "softmax_xent_bwd":
-
-            def xent_bwd(v):
-                logits = v[a].a
-                label = int(index_value(v[b]))
-                z = logits - logits.max()
-                ez = np.exp(z)
-                p = ez / ez.sum()
-                p[0, label] -= 1.0
-                return _W(p)
-
-            return xent_bwd
-        f = _binary_fn(node.payload)
         return lambda v: _W(f(v[a].a, v[b].a))
-    if k == "transpose":
-        (a,) = ins
-        return lambda v: _W(v[a].a.T)
-    if k == "slice_rows":
-        (a,) = ins
-        start, stop = node.payload
-        return lambda v: _W(v[a].a[start:stop])
-    if k == "concat_rows":
-        a, b = ins
-        return lambda v: _W(np.concatenate((v[a].a, v[b].a)))
-    if k == "gather_row":
-        a, b = ins
-
-        def gather(v):
-            i = int(index_value(v[b]))
-            t = v[a]
-            if not (0 <= i < t.rows):
-                raise IndexError(f"row {i} out of range for {t.rows}x{t.cols} table")
-            return _W(t.a[i : i + 1])
-
-        return gather
-    if k == "softmax_xent":
-        a, b = ins
-
-        def xent(v):
-            loss, _ = softmax_cross_entropy(v[a], int(index_value(v[b])))
-            return Tensor.scalar(loss)
-
-        return xent
     if k == "scatter_row":
         a, b = ins
         shape = node.payload
 
         def scatter(v):
-            i = int(index_value(v[b]))
+            i = index_value(v[b])
             return _g.RowGrads(shape.rows, shape.cols, ((i, v[a].a),))
 
         return scatter
@@ -171,7 +179,7 @@ def _build_strict(node):
         a, b = ins
 
         def tget(v):
-            i = int(index_value(v[b]))
+            i = index_value(v[b])
             t = v[a]
             if not (0 <= i < len(t.slots)):
                 raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
@@ -183,7 +191,7 @@ def _build_strict(node):
 
         def tset(v):
             t = v[a]
-            i = int(index_value(v[b]))
+            i = index_value(v[b])
             if not (0 <= i < len(t.slots)):
                 raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
             return t.set(i, v[c].a)
@@ -195,7 +203,7 @@ def _build_strict(node):
         base = _g.RowTable.zeros(shape.rows, shape.cols)
 
         def tscatter(v):
-            i = int(index_value(v[b]))
+            i = index_value(v[b])
             return base.set(i, v[a].a)
 
         return tscatter
@@ -210,7 +218,7 @@ def _build_strict(node):
                 z = np.zeros((t.cols, 1))
                 z.flags.writeable = False
                 zcol = z
-            return t.set(int(index_value(v[b])), zcol)
+            return t.set(index_value(v[b]), zcol)
 
         return tzero
     raise _g.BuildError(f"no kernel for kind {node.kind!r}")
@@ -222,6 +230,23 @@ def _build_grad_accum(ins):
         return functools.reduce(add_grads, parts) if parts else None
 
     return accum
+
+
+def sink_put(sink: dict, top_id: int, v):
+    """Add contribution v (a private array, a Tensor, row gradients or a row
+    table) to a sink entry. A dense entry is a private array, added to in
+    place; mixing kinds in one entry raises TypeError."""
+    acc = sink.get(top_id)
+    if acc is None:
+        sink[top_id] = v.a.copy() if type(v) is Tensor else v
+        return
+    if type(acc) is np.ndarray:
+        if type(v) is Tensor:
+            v = v.a
+        if type(v) is np.ndarray:
+            acc += v
+            return
+    sink[top_id] = add_grads(acc, v)
 
 
 def add_grads(a, b):
@@ -249,15 +274,23 @@ def _none_prop(fn, ins):
     return wrapped
 
 
+def _lenient(mirrors, node) -> bool:
+    """Whether node, of a body that mirrors forward body `mirrors` (or None),
+    propagates None: gradient synthesis made it, and it does not sum
+    gradients (`grad_accum` skips missing ones instead)."""
+    return (mirrors is not None or node.grad_flag) and node.kind != "grad_accum"
+
+
 def compile_body(g) -> tuple[list, list, list]:
     """Per node id: the per-frame kernel, its batched variant, and its work.
 
     Control, init, result and sink nodes get None, None, 0, so a sink add,
-    which writes its instance's sink, never leaves the scheduler thread. The
-    work is a rough count of multiply-adds per frame (inf for a stall): the
-    scheduler hands a node's kernel for a group to another thread only when
-    that is large enough to outweigh the handoff, since small numpy kernels
-    hold the interpreter lock throughout.
+    which writes its instance's sink, never leaves the scheduler thread.
+    Nodes whose values are row tables have no batched variant: their
+    operands never stack. The work is a rough count of multiply-adds per
+    frame (inf for a stall): the scheduler hands a node's kernel for a group
+    to another thread only when that is large enough to outweigh the
+    handoff, since small numpy kernels hold the interpreter lock throughout.
     """
     n = len(g.nodes)
     fns: list = [None] * n
@@ -268,10 +301,11 @@ def compile_body(g) -> tuple[list, list, list]:
         if k in CONTROL_KINDS or k in INIT_KINDS or k in ("result", "sink_add"):
             continue
         fn = _build_strict(node)
-        if (g.mirrors is not None or node.grad_flag) and node.kind != "grad_accum":
+        if _lenient(g.mirrors, node):
             fn = _none_prop(fn, tuple(node.inputs))
         fns[node.id] = fn
-        batched[node.id] = _build_batched(node)
+        if not isinstance(node.shape, _g.TableShape):
+            batched[node.id] = _build_batched(node)
         if node.kind not in PLUMBING_KINDS:
             work[node.id] = _work(g, node)
     return fns, batched, work
@@ -403,3 +437,110 @@ def _build_batched(node):
         start, stop = node.payload
         return lambda x: x[..., start:stop, :]
     return None
+
+
+# -- compiled segments -----------------------------------------------------
+
+
+class CompiledSegment(NamedTuple):
+    """A segment compiled to run for one frame at a time (`compile_segment`)."""
+
+    run: Callable  # run(frame values, the instance's sink, held-back sink adds)
+    members: tuple  # the members it runs, in the member loop's order
+    deferred: tuple  # per held-back sink add, its top-level node id
+
+
+def _held(a):
+    """A compiled member's array as a frame value: frozen where it lies, since
+    nothing writes a segment's arrays, so a view needs no copy."""
+    a.flags.writeable = False
+    return _W(a)
+
+
+def compile_segment(body, u: int) -> CompiledSegment:
+    """Segment u of `body` as one generated function that runs all its
+    members for one frame, in the member loop's order (wave by wave).
+
+    A member with array maths (`_dense_fn`) keeps its value as a local
+    array; only members that something outside the segment reads
+    (`exposed`), or that a member's kernel reads from the frame, are
+    written to the frame, as tensors. The other kinds (row tables, row
+    gradients, `grad_accum`) run their kernel on the frame. None-propagating
+    members give None when an operand is None, as their kernels do. A sink
+    add puts its contribution straight into the instance's sink, a fused
+    product computed from its operands; a later sink add of the same entry
+    is held back in `later` until the group's frames have all run, so every
+    entry sums its contributions in the member loop's member-major order.
+    The maths of each member is the function the per-frame kernels use,
+    bound into the generated namespace; the source holds only node ids and
+    fixed text.
+    """
+    members = tuple(m for wave in body.waves[u] for m in wave)
+    nodes = body.nodes
+    dense = {m: _dense_fn(nodes[m]) for m in members if body.sinks[m] is None}
+    local = {m for m, f in dense.items() if f is not None}
+    framed = {m for m in local if body.exposed[m]}
+    for m in members:
+        if m not in local and body.sinks[m] is None:  # its kernel reads the frame
+            framed.update(j for j in body.inputs[m] if j in local)
+    ns = {"held": _held, "put": sink_put}
+    lines = ["def segment(v, sink, later):"]
+    loaded = set()
+
+    def ref(j):  # the name of j's value: an array if local, else the frame's
+        if j in local:
+            return f"x{j}"
+        if j not in loaded:
+            lines.append(f"    t{j} = v[{j}]")
+            loaded.add(j)
+        return f"t{j}"
+
+    def arr(j):
+        return ref(j) if j in local else f"{ref(j)}.a"
+
+    tops: set = set()
+    deferred: list = []
+    for m in members:
+        ins = body.inputs[m]
+        sink = body.sinks[m]
+        if sink is not None:
+            top, ids, product, _ = sink
+            if body.exposed[m]:  # a top-level grad_out waits on it
+                lines.append(f"    v[{m}] = None")
+            if product is None:
+                (src,) = ids
+                checks = [ref(src)]
+                if src in framed:
+                    value = f"v[{src}]"
+                elif src in local:
+                    value = f"held(x{src})"  # the sink copies a tensor it keeps
+                else:
+                    value = checks[0]
+            else:
+                ns[f"p{m}"] = product
+                checks = [ref(j) for j in ids]
+                value = f"p{m}({', '.join(arr(j) for j in ids)})"
+            if top in tops:
+                add = f"later[{len(deferred)}].append((sink, {value}))"
+                deferred.append(top)
+            else:
+                add = f"put(sink, {top}, {value})"
+                tops.add(top)
+            lines.append(f"    if {' and '.join(c + ' is not None' for c in checks)}:")
+            lines.append(f"        {add}")
+        elif m in local:
+            ns[f"f{m}"] = dense[m]
+            call = f"f{m}({', '.join(arr(j) for j in ins)})"
+            lenient = _lenient(body.mirrors, nodes[m])
+            if lenient:
+                call = f"None if {' or '.join(ref(j) + ' is None' for j in ins)} else {call}"
+            lines.append(f"    x{m} = {call}")
+            if m in framed:
+                held = f"None if x{m} is None else held(x{m})" if lenient else f"held(x{m})"
+                lines.append(f"    v[{m}] = {held}")
+        else:
+            ns[f"k{m}"] = body.kernels[m]
+            lines.append(f"    t{m} = v[{m}] = k{m}(v)")
+            loaded.add(m)
+    exec(compile("\n".join(lines), f"<segment {u}>", "exec"), ns)
+    return CompiledSegment(ns["segment"], members, tuple(deferred))

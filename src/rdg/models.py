@@ -305,31 +305,29 @@ def build_iterative(cfg: ModelConfig, capacity: int) -> BuiltModel:
 # -- feeds -----------------------------------------------------------------
 
 
-def _col(values) -> Tensor:
-    return Tensor.from_array(np.asarray(values, dtype=float).reshape(-1, 1))
-
-
 def make_feeds(model: BuiltModel, tree: TreeInstance) -> dict[str, Tensor]:
-    """Feed tables for one tree, shaped for the given built model."""
+    """Feed tables for one tree, shaped for the given built model.
+
+    One conversion of the tree's columns fills a read-only table whose rows
+    are the feeds; each feed is a view of its row.
+    """
     n = tree.n_nodes
-    cols = {
-        "tokens": list(tree.tokens),
-        "is_leaf": [1.0 if tree.is_leaf(i) else 0.0 for i in range(n)],
-        "lefts": list(tree.lefts),
-        "rights": list(tree.rights),
-        "labels": list(tree.labels),
-    }
+    names = ["tokens", "is_leaf", "lefts", "rights", "labels"]
+    cols = (tree.tokens, tree.tokens, tree.lefts, tree.rights, tree.labels)
     if model.mode == "iterative":
         cap = model.capacity
         if n > cap:
-            raise CapacityError(
-                f"instance has {n} nodes, built capacity is {cap}"
-            )
-        pad = cap - n
-        for name in cols:
-            cols[name] = cols[name] + [-1.0] * pad
-        cols["active"] = [1.0] * n + [0.0] * pad
-    out = {name: _col(v) for name, v in cols.items()}
+            raise CapacityError(f"instance has {n} nodes, built capacity is {cap}")
+        names.append("active")
+        table = np.full((6, cap), -1.0)  # -1 pads the slots past the tree
+        table[:5, :n] = cols
+        table[5] = 0.0
+        table[5, :n] = 1.0
+    else:
+        table = np.array(cols, dtype=float)
+    table[1, :n] = table[0, :n] >= 0  # leaves hold a token
+    table.flags.writeable = False
+    out = {name: Tensor._wrap(row.reshape(-1, 1)) for name, row in zip(names, table)}
     out["root"] = Tensor.scalar(float(tree.root))
     return out
 

@@ -175,7 +175,14 @@ def index_value(t: Tensor) -> int:
     Indices travel as ordinary tensors; at every op boundary that consumes
     one, the value must sit within 1e-9 of an integer.
     """
-    v = t.item()
+    return index_of(t.a)
+
+
+def index_of(a: np.ndarray) -> int:
+    """`index_value` of a tensor's array."""
+    if a.shape != (1, 1):
+        raise DimensionError(f"an index is a 1x1 tensor, got shape {a.shape}")
+    v = float(a[0, 0])
     r = round(v)
     if abs(v - r) >= 1e-9:
         raise ValueError(f"expected an integral index, got {v!r}")

@@ -19,8 +19,8 @@ from rdg import (
     ExecutionError, Graph, RunOptions, Tensor, differentiate, executor, kernels, run, run_batch,
 )
 from rdg.data import generate_synthetic
-from rdg.graph import Node
-from rdg.models import ModelConfig, build_recursive, init_params, make_feeds
+from rdg.graph import Node, RowTable
+from rdg.models import ModelConfig, build_iterative, build_recursive, init_params, make_feeds
 from rdg.oracle import oracle_forward, oracle_forward_backward
 
 from test_graph import build_countdown, scalar_sig
@@ -656,10 +656,180 @@ class TestRunBatch:
         with pytest.raises(ExecutionError, match=msg):
             run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [y])
 
+    def test_row_table_nodes_never_run_batched(self, monkeypatch):
+        # The iterative TreeLSTM threads its states through row tables, and
+        # no node whose value is a table has a batched variant. So a
+        # 12-instance gradient batch never tries to stack tables (each try
+        # raised and sent the group to its per-frame kernels).
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
+        model = build_iterative(cfg, 24)
+        g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+        params = init_params(cfg, seed=3, scale=0.3)
+        rng = np.random.default_rng(7)
+        shapes = ("balanced", "linear", "moderate")
+        trees = [generate_synthetic(shapes[i % 3], 8, 10, 2, rng) for i in range(12)]
+        feeds = [make_feeds(model, t) for t in trees]
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        tries = Counter()
+        operands = executor._operands
+
+        def spy(body, ids, frames, stacks):
+            tables = any(isinstance(frames[0].values[i], RowTable) for i in ids)
+            tries["table" if tables else "dense"] += 1
+            return operands(body, ids, frames, stacks)
+
+        monkeypatch.setattr(executor, "_operands", spy)
+        batch = run_batch(g, feeds, fetches, RunOptions(), params)
+        assert tries["dense"] and not tries["table"]
+        for tree, res in zip(trees, batch):
+            want_loss, want_grads = oracle_forward_backward("treelstm", params, tree)
+            assert abs(res.values[0].item() - want_loss) <= 1e-9
+            for name, got in zip(gm.param_order, res.values[1:]):
+                want = want_grads[name]
+                assert np.all(np.abs(_dense(got) - want) <= 1e-7 * np.abs(want) + 1e-9), name
+
     def test_empty_batch_rejected(self):
         g, x, y = build_countdown()
         with pytest.raises(ValueError, match="empty"):
             run_batch(g.finalize(), [], [y])
+
+
+def _member_loop_only(fg):
+    """Make every segment of fg run its member loop, as groups of
+    `_BATCH_MIN` frames and more do."""
+    for body in [fg.top, *fg.bodies.values()]:
+        body.compiled = [False] * len(body.compiled)
+    return fg
+
+
+def _compiled_segments(fg) -> list:
+    return [c for body in [fg.top, *fg.bodies.values()] for c in body.compiled if c]
+
+
+def _gradient_run(kind: str, compiled: bool):
+    """Loss and parameter gradients of a small-tree batch, where most groups
+    hold fewer than `_BATCH_MIN` frames, and the graph that computed them."""
+    cfg = ModelConfig(kind, d=4, vocab=12, classes=3, per_node_loss=True)
+    model = build_recursive(cfg)
+    g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+    if not compiled:
+        _member_loop_only(g)
+    params = init_params(cfg, seed=4, scale=0.5)
+    rng = np.random.default_rng(9)
+    trees = [
+        generate_synthetic(shape, leaves, 10, 3, rng)
+        for shape, leaves in (("linear", 5), ("moderate", 6), ("balanced", 4))
+    ]
+    feeds = [make_feeds(model, t) for t in trees]
+    fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+    got = [run(g, f, fetches, RunOptions(), params).values for f in feeds]
+    got.append([v for r in run_batch(g, feeds, fetches, RunOptions(), params) for v in r.values])
+    return [[_dense(v) for v in vals] for vals in got], g
+
+
+class TestCompiledSegments:
+    """A group under `_BATCH_MIN` frames runs its segment as one generated
+    function per frame; the member loop is the reference."""
+
+    @pytest.mark.parametrize("kind", ["treernn", "rntn", "treelstm"])
+    def test_compiled_matches_member_loop_bit_for_bit(self, kind):
+        got, g = _gradient_run(kind, compiled=True)
+        want, _ = _gradient_run(kind, compiled=False)
+        segs = _compiled_segments(g)
+        assert any(b.label.endswith("__grad") and any(b.compiled) for b in g.bodies.values())
+        if kind == "treelstm":  # two adds to bf's entry in one segment: one held back
+            assert any(seg.deferred for seg in segs)
+        for a, b in zip(got, want):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    def test_failure_names_the_member_loop_s_first_failure(self):
+        # Pick(m) gathers row m (a first-wave member) and row m + 1 (a
+        # second-wave one) of a 4-row table. Frame 0 (m = 3) fails only on
+        # the second gather, frame 1 (m = 5) on the first. The member loop
+        # runs the first wave for every frame first, so it names the first
+        # gather, and so must a compiled group of the two frames.
+        def build():
+            g = Graph()
+            pick = g.declare_subgraph("Pick", *scalar_sig())
+            table = g.constant(Tensor.from_array(np.arange(4.0).reshape(4, 1)))
+            pb = g.body(pick)
+            (m,) = pb.args
+            first = pb.gather_row(table, m)
+            second = pb.gather_row(table, pb.add(m, pb.constant(Tensor.scalar(1.0))))
+            pb.set_outputs([pb.add(first, second)])
+            g.define_subgraph(pick, pb)
+            x = g.placeholder((1, 1), "x")
+            (y,) = g.invoke(pick, [x])
+            return g.finalize(), y, first.id
+
+        feeds = [{"x": Tensor.scalar(3.0)}, {"x": Tensor.scalar(5.0)}]
+        msgs = []
+        for compiled in (True, False):
+            fg, y, first = build()
+            if not compiled:
+                _member_loop_only(fg)
+            with pytest.raises(ExecutionError) as e:
+                run_batch(fg, feeds, [y])
+            msgs.append(str(e.value))
+            assert compiled == bool(_compiled_segments(fg))
+        assert msgs[0] == msgs[1]
+        assert msgs[0].startswith(f"node {first} (gather_row) at key {y.id}: row 5 out of")
+
+    def test_kernel_error_in_recursive_and_gradient_bodies(self, monkeypatch):
+        # A leaf's token past the embedding table fails in the recursive
+        # `Leaf` body; a failing tanh derivative fails in `Internal__grad`.
+        # Either error names the node, kind and key the member loop names.
+        orig = kernels._binary_fn
+
+        def failing(tag):
+            f = orig(tag)
+            if tag != "tanh_bwd":
+                return f
+
+            def tanh_bwd(u, y):
+                if u.shape[0] > 1:  # the cell's state, not the loss's
+                    raise FloatingPointError("tanh_bwd failed")
+                return f(u, y)
+
+            return tanh_bwd
+
+        monkeypatch.setattr(kernels, "_binary_fn", failing)
+        cfg = ModelConfig("treernn", d=4, vocab=12, classes=2)
+        params = init_params(cfg, seed=0, scale=0.3)
+        tree = generate_synthetic("linear", 4, 10, 2, np.random.default_rng(0))
+        msgs = {}
+        for compiled in (True, False):
+            model = build_recursive(cfg)
+            g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+            feeds = make_feeds(model, tree)
+            bad = dict(feeds, tokens=Tensor.from_array(np.where(feeds["tokens"].a >= 0, 40, -1.0)))
+            for name, fg, fd, fetches in (
+                ("forward", model.graph, bad, [model.loss]),
+                ("gradient", g, feeds, [gm.param_grads["W"]]),
+            ):
+                if not compiled:
+                    _member_loop_only(fg)
+                with pytest.raises(ExecutionError) as e:
+                    run(fg, fd, fetches, RunOptions(), params)
+                msgs.setdefault(name, []).append(str(e.value))
+                assert compiled == bool(_compiled_segments(fg))
+        assert msgs["forward"][0] == msgs["forward"][1]
+        assert "(gather_row)" in msgs["forward"][0] and "row 40 out of range" in msgs["forward"][0]
+        assert msgs["gradient"][0] == msgs["gradient"][1]
+        assert re.match(r"node \d+ \(binary\) at key [\d/]+: tanh_bwd failed", msgs["gradient"][0])
+
+    def test_segment_with_a_stall_is_not_compiled(self):
+        # Step's sleeps count as work to hand to a worker, at any group size,
+        # so its segment runs the member loop; Base's segment is compiled.
+        fg, y = _stalling_countdown(0.0)
+        res = run(fg, {"x": Tensor.scalar(2.0), "i": Tensor.scalar(1.0)}, [y])
+        assert res.values[0].item() == 2.0
+        step, base = fg.bodies["Step"], fg.bodies["Base"]
+        sleep = step.kinds.index("unary")
+        assert step.compiled[step.unit_of[sleep]] is False
+        (seg,) = [c for c in base.compiled if c]
+        assert base.kinds.index("gather_row") in seg.members
 
 
 def _stalling_countdown(stall: float):
