@@ -56,7 +56,9 @@ and the other branch's capture slots hold None.
 
 Frames form a tree through parent pointers. A frame's depth counts the call
 sites above it, and its key, the path of their node ids, is built from the
-parent pointers for error messages and trace rows only.
+parent pointers for error messages and trace rows only. Finalize has already
+inlined every dispatcher a body invokes (`Graph._inline_dispatchers`), so a
+recursive tree model spends one frame and one call site per tree node.
 
 In a differentiated graph, a forward frame records the child frame of each
 call site that a gradient call mirrors. That gradient call pops the child
@@ -127,8 +129,9 @@ class RunOptions:
 
     - `threads`: threads that compute large kernels; results are the same for any count.
     - `max_recursion_depth`: the most call sites above a frame. Each `invoke` and
-      each `cond` counts one, so the bundled tree models spend two per tree level
-      and the default admits linear trees of up to 256 leaves.
+      each `cond` counts one. The bundled tree models spend one on the top's call
+      of `Model` and one per tree level (finalize runs Model's cond in `Internal`),
+      so the default admits linear trees of up to 511 leaves.
     - `debug`: check that each unit's inputs are resolved before it runs.
     - `instrument`: record `RunResult.peak_concurrency`.
     - `trace`: record `RunResult.trace`, as the environment's `RDG_TRACE=1` does.
@@ -694,22 +697,23 @@ def _sink_add(body, nid: int, sink, frames, stacks):
     A batched pass reduces the stacked contributions once per instance, in
     the group's frame order, and adds one partial per instance; a fused
     product is summed per instance as one gemm over its stacked operands.
-    Otherwise, or if some frame's contribution is not a dense tensor, each
-    frame adds its own, a fused one computed straight from its operands.
+    Otherwise, for a source that is never dense (row gradients, a row
+    table), or if some frame's contribution is missing or ragged, each frame
+    adds its own, a fused one computed straight from its operands.
     Either way the summation order follows from the group alone.
     """
-    top_id, ids, product, swap = sink
+    top_id, ids, product, swap, stacked = sink
     if body.exposed[nid]:  # a top-level grad_out waits on it
         for f in frames:
             f.values[nid] = None
-    if stacks is not None:
+    if stacks is not None and stacked:
         k = len(frames)
         try:
             ops = [
                 a if a.ndim == 3 else np.broadcast_to(a, (k,) + a.shape)
                 for a in _operands(body, ids, frames, stacks)
             ]
-        except (AttributeError, ValueError):  # a row gradient, no gradient, or ragged rows
+        except (AttributeError, ValueError):  # no gradient, or ragged rows
             _unstack(ids, frames, stacks)
         else:
             insts, perm, starts = _by_instance(frames, stacks)

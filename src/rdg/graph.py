@@ -16,6 +16,11 @@ reference is rewritten to an extra body input (a capture). Captures close
 transitively at finalize: if Model's body invokes Leaf and Leaf captures the
 embedding table, Model captures it too, and every call site is rewired
 automatically.
+
+Before that, finalize inlines dispatchers: a SubGraph that only picks which
+body does the work (compute nodes and one cond that yields its outputs, like
+Model) runs its cond in each body that invokes it, so a call of it costs no
+frame and no call site of its own.
 """
 
 from __future__ import annotations
@@ -539,6 +544,10 @@ class Graph:
         undefined = [n for n in self.declared_order if not self.registry[n].defined]
         if undefined:
             raise BuildError(f"undefined body for subgraph(s): {', '.join(undefined)}")
+        if not getattr(self, "from_differentiate", False):
+            # a differentiated graph is a clone of a finalized one, whose
+            # bodies were inlined already and which its gradient mirrors
+            self._inline_dispatchers()
         self._close_captures()
         self._wire_captures()
         for name in self.declared_order:
@@ -551,6 +560,72 @@ class Graph:
         _check_dag(self)
         self.finalized = True
         return FinalizedGraph(self)
+
+    def _inline_dispatchers(self):
+        """Replace each SubGraph body's invokes of a dispatcher with a copy of
+        the dispatcher's body (see `_is_dispatcher`).
+
+        A call of a dispatcher only picks the body that does the work, so the
+        copy saves a frame and a call site per call: a recursive tree model's
+        `Internal` then runs the `cond` into `Leaf` or `Internal` itself, one
+        frame and one call site per tree node. The top level is never
+        rewritten, so its handles stay valid. A body that encloses others is
+        neither rewritten nor inlined: their capture handles name its node
+        ids, and a nested branch must read its own frame's node, not a copy
+        in the caller. A dispatcher holds no invoke, so it is never rewritten
+        itself, and one pass is finite, also under mutual recursion.
+        """
+        bodies = [self.registry[n].body for n in self.declared_order]
+        enclosing = {id(b.parent) for b in bodies}
+        targets = {
+            n
+            for n, b in zip(self.declared_order, bodies)
+            if id(b) not in enclosing and _is_dispatcher(b)
+        }
+        for b in bodies:
+            if id(b) not in enclosing and any(
+                nd.kind == "invoke" and nd.payload in targets for nd in b.nodes
+            ):
+                b._inline(targets)
+
+    def _inline(self, targets: set):
+        """Renumber this body's nodes, splicing in a copy of the body of each
+        invoked dispatcher in `targets`: its inputs are the invoke's
+        arguments, its captures this body's, and the invoke's outputs its
+        cond's call node and result slots."""
+        old = self.nodes
+        self.nodes = []
+        self.capture_map = {}
+        self.capture_order = []
+        new: dict[int, int] = {}  # old id -> new id
+
+        def copy(nd: Node, ids: dict) -> int:
+            node = Node(len(self.nodes), nd.kind, nd.payload, [ids[i] for i in nd.inputs], nd.shape)
+            node.grad_flag = nd.grad_flag
+            self.nodes.append(node)
+            return node.id
+
+        for nd in old:
+            if nd.id in new:  # a result slot of an inlined invoke
+                continue
+            if nd.kind == "capture":
+                new[nd.id] = self._capture(nd.payload)
+            elif nd.kind == "invoke" and nd.payload in targets:
+                d = self.registry[nd.payload].body
+                local: dict[int, int] = {}
+                for m in d.nodes:
+                    if m.kind == "input":
+                        local[m.id] = new[nd.inputs[m.payload]]
+                    elif m.kind == "capture":
+                        local[m.id] = self._capture(m.payload)
+                    else:
+                        local[m.id] = copy(m, local)
+                for j, o in enumerate(d.outputs):
+                    new[nd.id + j] = local[o]
+            else:
+                new[nd.id] = copy(nd, new)
+        self.arg_ids = [new[i] for i in self.arg_ids]
+        self.outputs = [new[i] for i in self.outputs]
 
     def _close_captures(self):
         """Propagate callee captures up through caller bodies to a fixpoint."""
@@ -692,6 +767,24 @@ def _target_names(node: Node) -> tuple[str, ...]:
     return ()
 
 
+def _is_dispatcher(body: Graph) -> bool:
+    """Whether `body` holds only compute nodes and one `cond`, whose call
+    node and result slots are its outputs, in order, and captures only
+    top-level nodes: a call of it can run the cond in the caller instead."""
+    conds = [nd.id for nd in body.nodes if nd.kind == "cond"]
+    if len(conds) != 1 or not body.outputs:
+        return False
+    k = len(body.outputs)
+    if body.outputs != list(range(conds[0], conds[0] + k)):
+        return False
+    # the cond is the body's only call, so every result slot is one of its
+    if sum(nd.kind == "result" for nd in body.nodes) != k - 1:
+        return False
+    if any(nd.kind == "invoke" for nd in body.nodes):
+        return False
+    return all(h.graph.parent is None for h in body.capture_order)
+
+
 def _check_dag(g: Graph):
     n = len(g.nodes)
     indeg = [0] * n
@@ -757,6 +850,16 @@ class FinalizedGraph:
 
     def dump(self) -> str:
         return self.graph.dump()
+
+
+class SinkAdd(NamedTuple):
+    """How a `sink_add` node adds its contribution to its instance's sink."""
+
+    top: int  # the top-level node whose sink entry it adds to
+    ids: tuple  # its source's id, or a fused product's operand ids
+    product: object  # the fused per-frame product (see kernels.FUSED_SUMS), else None
+    swap: object  # whether to swap a fused product's operand axes, else None
+    stacks: bool  # whether a batched group sums stacked operands (else frame by frame)
 
 
 class CompiledBody:
@@ -844,7 +947,7 @@ class CompiledBody:
                 initial.add(nd.id)
         self.outputs = list(g.outputs)
         self.nodes = g.nodes  # for compiling segments on first use
-        self.kernels, self.batched, self.work = kernels.compile_body(g)
+        self.kernels, self.batched, self.work, rows = kernels.compile_body(g)
         # Cut the body into units. Each control node is one, joined by the
         # result slots of its further outputs, so a unit lists a call's
         # outputs in order. The compute nodes whose non-init inputs lead back
@@ -929,15 +1032,15 @@ class CompiledBody:
         held = set(g.outputs).union(reads)
         for i in held:
             exposed[i] = True
-        # Per node: how a `sink_add` member adds its contribution, else None:
-        # (top-level node id, operand ids, per-frame product, operand swap;
-        # see kernels.FUSED_SUMS). A sink reads its source from the stacks,
-        # so the source is not exposed for it. A `matmul_nt`/`matmul_tn`
-        # source that only the sink reads is fused into it: the sink sums the
+        # Per node: how a `sink_add` member adds its contribution (a
+        # `SinkAdd`), else None. A sink reads its source from the stacks, so
+        # the source is not exposed for it. A `matmul_nt`/`matmul_tn` source
+        # that only the sink reads is fused into it: the sink sums the
         # product over each instance's frames as one gemm of the operands,
         # and the source leaves the waves, so no frame's product is ever
         # computed, nor handed to a worker. The top level keeps its products,
-        # since any of its nodes may be fetched.
+        # since any of its nodes may be fetched. A source whose value is
+        # never dense is added frame by frame in every group.
         self.sinks = sinks = [None] * n
         for nd in g.nodes:
             if nd.kind != "sink_add":
@@ -946,9 +1049,9 @@ class CompiledBody:
             tag = self.payloads[src] if self.kinds[src] == "binary" else None
             if tag in kernels.FUSED_SUMS and not is_top and readers[src] == 1 and src not in held:
                 waves[unit_of[src]][level[src]].remove(src)
-                sinks[nd.id] = (nd.payload, self.inputs[src], *kernels.FUSED_SUMS[tag])
+                sinks[nd.id] = SinkAdd(nd.payload, self.inputs[src], *kernels.FUSED_SUMS[tag], True)
             else:
-                sinks[nd.id] = (nd.payload, (src,), None, None)
+                sinks[nd.id] = SinkAdd(nd.payload, (src,), None, None, not rows[src])
         self.unit_nodes = [tuple(ms) for ms in members]
         # per unit: its members in waves, None for a control node; and its
         # `kernels.CompiledSegment`, made when a group under the executor's

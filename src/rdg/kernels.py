@@ -17,14 +17,15 @@ strict, so a missing value in a forward body fails loudly instead of leaking
 None.
 
 The maths kinds and `grad_accum` also get a batched variant, unless their
-value is a row table (see `compile_body`), which the scheduler runs once for a group of k frames at the
-same node. Its operands are plain arrays: a 2-D array is one value shared by
-every frame of the group (a parameter, a constant), a 3-D array stacks the k
-per-frame values along axis 0. It returns a 3-D array whose slice j is frame
-j's value, or a 2-D array when every operand was shared. Any operand a
-batched variant cannot handle (row gradients, a missing gradient) makes it
-raise; the scheduler then runs the node's per-frame kernels, which also name
-the failing frame.
+value is a row table or row gradients (see `compile_body`), which the
+scheduler runs once for a group of k frames at the same node. Its operands
+are plain arrays: a 2-D array is one value shared by every frame of the
+group (a parameter, a constant), a 3-D array stacks the k per-frame values
+along axis 0. It returns a 3-D array whose slice j is frame j's value, or a
+2-D array when every operand was shared. Any operand a batched variant
+cannot handle (a missing gradient, say) makes it raise; the
+scheduler then runs the node's per-frame kernels, which also name the
+failing frame.
 
 A group too small to stack runs its segment through `compile_segment`: one
 generated function that runs every member for one frame on plain arrays.
@@ -281,21 +282,24 @@ def _lenient(mirrors, node) -> bool:
     return (mirrors is not None or node.grad_flag) and node.kind != "grad_accum"
 
 
-def compile_body(g) -> tuple[list, list, list]:
-    """Per node id: the per-frame kernel, its batched variant, and its work.
+def compile_body(g) -> tuple[list, list, list, list]:
+    """Per node id: the per-frame kernel, its batched variant, its work, and
+    whether its value is never dense (see `row_valued`).
 
     Control, init, result and sink nodes get None, None, 0, so a sink add,
     which writes its instance's sink, never leaves the scheduler thread.
-    Nodes whose values are row tables have no batched variant: their
-    operands never stack. The work is a rough count of multiply-adds per
-    frame (inf for a stall): the scheduler hands a node's kernel for a group
-    to another thread only when that is large enough to outweigh the
-    handoff, since small numpy kernels hold the interpreter lock throughout.
+    Nodes whose values are row tables or row gradients have no batched
+    variant: their values never stack. The work is a rough count of
+    multiply-adds per frame (inf for a stall): the scheduler hands a node's
+    kernel for a group to another thread only when that is large enough to
+    outweigh the handoff, since small numpy kernels hold the interpreter lock
+    throughout.
     """
     n = len(g.nodes)
     fns: list = [None] * n
     batched: list = [None] * n
     work: list = [0.0] * n
+    rows = row_valued(g)
     for node in g.nodes:
         k = node.kind
         if k in CONTROL_KINDS or k in INIT_KINDS or k in ("result", "sink_add"):
@@ -304,11 +308,24 @@ def compile_body(g) -> tuple[list, list, list]:
         if _lenient(g.mirrors, node):
             fn = _none_prop(fn, tuple(node.inputs))
         fns[node.id] = fn
-        if not isinstance(node.shape, _g.TableShape):
+        if not rows[node.id]:
             batched[node.id] = _build_batched(node)
         if node.kind not in PLUMBING_KINDS:
             work[node.id] = _work(g, node)
-    return fns, batched, work
+    return fns, batched, work, rows
+
+
+def row_valued(g) -> list[bool]:
+    """Per node id, whether its value is never a dense tensor: a row table,
+    row gradients, or a gradient sum over either. Such values never stack."""
+    rows = [False] * len(g.nodes)
+    for node in g.nodes:
+        rows[node.id] = (
+            type(node.shape) is _g.TableShape
+            or node.kind == "scatter_row"
+            or (node.kind == "grad_accum" and any(rows[i] for i in node.inputs))
+        )
+    return rows
 
 
 def _work(g, node) -> float:
@@ -504,7 +521,7 @@ def compile_segment(body, u: int) -> CompiledSegment:
         ins = body.inputs[m]
         sink = body.sinks[m]
         if sink is not None:
-            top, ids, product, _ = sink
+            top, ids, product = sink.top, sink.ids, sink.product
             if body.exposed[m]:  # a top-level grad_out waits on it
                 lines.append(f"    v[{m}] = None")
             if product is None:

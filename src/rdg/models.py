@@ -6,7 +6,11 @@ parameters and the same per-instance topology tables:
 - recursive: one `Model` SubGraph that gathers `is_leaf[idx]` and conditions
   between a leaf cell and an internal cell with two recursive invocations of
   itself. One finalized graph serves every tree; the tree enters purely as
-  fed tables, and the call tree mirrors the data tree.
+  fed tables, and the call tree mirrors the data tree. `Model` only
+  dispatches, so finalize runs its gather and cond inside `Internal` (see
+  `Graph._inline_dispatchers`): the top invokes `Model` once, and each tree
+  node then costs one `Leaf` or `Internal` frame and one call site, so the
+  default depth limit admits linear trees of up to 511 leaves.
 - iterative: a build-time-unrolled chain of `Step` invocations, one per node
   slot up to a fixed capacity, threading functional state tables. Children
   always precede parents in node order, so step i can read its children's

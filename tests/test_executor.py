@@ -19,7 +19,7 @@ from rdg import (
     ExecutionError, Graph, RunOptions, Tensor, differentiate, executor, kernels, run, run_batch,
 )
 from rdg.data import generate_synthetic
-from rdg.graph import Node, RowTable
+from rdg.graph import Node, RowGrads, RowTable
 from rdg.models import ModelConfig, build_iterative, build_recursive, init_params, make_feeds
 from rdg.oracle import oracle_forward, oracle_forward_backward
 
@@ -208,6 +208,7 @@ class TestRecursionMechanics:
     def test_deep_linear_recursion_single_thread(self):
         # With one worker, a blocking call-site design would deadlock at
         # depth 2; 400 frames deep proves invocation never parks a worker.
+        # F is a dispatcher, so S runs its cond: only the top invokes F.
         g = Graph()
         f = g.declare_subgraph("F", *scalar_sig())
         base = g.declare_subgraph("B", *scalar_sig())
@@ -234,7 +235,8 @@ class TestRecursionMechanics:
             RunOptions(threads=1, max_recursion_depth=1000),
         )
         assert res.values[0].item() == 400.0
-        assert res.frames["F"] == 401
+        assert res.frames["F"] == 1
+        assert res.frames["S"] == 400
 
     def test_depth_limit_error_names_key(self):
         g = Graph()
@@ -251,10 +253,11 @@ class TestRecursionMechanics:
         assert time.monotonic() - t0 < 10.0
 
     def test_depth_limit_message_abbreviates_the_key(self):
-        # 257 leaves in a line: 513 call sites deep, one past the limit
+        # 512 leaves in a line: one call site per tree level below Model's,
+        # so the deepest leaf is 513 call sites deep, one past the limit
         cfg = ModelConfig("treernn", d=4, vocab=21, classes=2)
         rec = build_recursive(cfg)
-        tree = generate_synthetic("linear", 257, 20, 2, np.random.default_rng(0))
+        tree = generate_synthetic("linear", 512, 20, 2, np.random.default_rng(0))
         with pytest.raises(ExecutionError) as e:
             run(rec.graph, make_feeds(rec, tree), [rec.loss], params=init_params(cfg))
         msg = str(e.value)
@@ -332,7 +335,7 @@ class TestOverlap:
             RunOptions(threads=8, instrument=True),
         )
         assert res.frames["Leaf"] == 8
-        assert res.frames["Bin"] == 15
+        assert res.frames["Bin"] == 1  # Split runs Bin's cond itself
         assert res.peak_concurrency >= 4  # at least half the leaves overlapped
 
     def test_linear_tree_is_sequential(self):
@@ -433,15 +436,17 @@ class TestBatching:
 
     def test_same_node_frames_of_one_level_run_as_one_kernel(self):
         # Balanced trees of 64 and 256 leaves: 7 and 9 levels, 127 and 511
-        # frames of Model. Same-node frames of one level form one group, so
-        # the two extra (wide) levels cost each body node two more kernel
-        # calls, although its frame count quadruples.
+        # frames of Leaf and Internal. Same-node frames of one level form one
+        # group, so the two extra (wide) levels cost each body node two more
+        # kernel calls, although its frame count quadruples. Internal runs
+        # Model's cond itself, so only the top's call runs Model's body, in
+        # a group of one, whose compiled segment calls no per-node kernel.
         small, small_frames = _kernel_calls(64)
         big, big_frames = _kernel_calls(256)
-        assert small_frames == {"top": 1, "Model": 127, "Leaf": 64, "Internal": 63}
-        assert big_frames == {"top": 1, "Model": 511, "Leaf": 256, "Internal": 255}
+        assert small_frames == {"top": 1, "Model": 1, "Leaf": 64, "Internal": 63}
+        assert big_frames == {"top": 1, "Model": 1, "Leaf": 256, "Internal": 255}
         assert set(small) == set(big)
-        assert {name for name, _ in small} == {"Model", "Leaf", "Internal"}
+        assert {name for name, _ in small} == {"Leaf", "Internal"}
         for (name, nid), n in big.items():
             if name == "Leaf":  # every leaf sits on the bottom level
                 assert n == small[(name, nid)] == 1, f"Leaf node {nid}: {n} calls"
@@ -658,12 +663,16 @@ class TestRunBatch:
 
     def test_row_table_nodes_never_run_batched(self, monkeypatch):
         # The iterative TreeLSTM threads its states through row tables, and
-        # no node whose value is a table has a batched variant. So a
-        # 12-instance gradient batch never tries to stack tables (each try
-        # raised and sent the group to its per-frame kernels).
+        # no node whose value is a table has a batched variant. The
+        # embedding's gradient is row gradients, and finalize sends its sink
+        # adds to the per-frame pass. So a 12-instance gradient batch never
+        # tries to stack either (each try raised and sent the group to its
+        # per-frame kernels or adds).
         cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
         model = build_iterative(cfg, 24)
         g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+        sinks = [s for s in g.bodies["LeafStep__grad"].sinks if s is not None]
+        assert [s.stacks for s in sinks if s.top == model.params["E"].id] == [False]
         params = init_params(cfg, seed=3, scale=0.3)
         rng = np.random.default_rng(7)
         shapes = ("balanced", "linear", "moderate")
@@ -674,13 +683,13 @@ class TestRunBatch:
         operands = executor._operands
 
         def spy(body, ids, frames, stacks):
-            tables = any(isinstance(frames[0].values[i], RowTable) for i in ids)
-            tries["table" if tables else "dense"] += 1
+            rows = any(isinstance(f.values[i], (RowTable, RowGrads)) for i in ids for f in frames)
+            tries["rows" if rows else "dense"] += 1
             return operands(body, ids, frames, stacks)
 
         monkeypatch.setattr(executor, "_operands", spy)
         batch = run_batch(g, feeds, fetches, RunOptions(), params)
-        assert tries["dense"] and not tries["table"]
+        assert tries["dense"] and not tries["rows"]
         for tree, res in zip(trees, batch):
             want_loss, want_grads = oracle_forward_backward("treelstm", params, tree)
             assert abs(res.values[0].item() - want_loss) <= 1e-9
@@ -963,7 +972,7 @@ class TestCache:
         finally:
             gc.enable()
         assert [v.item() for v in res.values] == [6.0, 11.0]  # x(x-1)(x-2), its derivative
-        assert len(refs) == 9  # top, four F, three Step and one Base
+        assert len(refs) == 6  # top, one F, three Step and one Base
         assert all(r() is None for r in refs)
 
 
@@ -978,7 +987,8 @@ class TestTrace:
             assert isinstance(key, str) and isinstance(nid, int)
             assert isinstance(op, str)
         ops = [r[4] for r in res.trace]
-        assert ops.count("invoke[F]") == 4  # top + three recursive sites
+        assert ops.count("invoke[F]") == 1  # the top's; Step runs F's cond itself
+        assert ops.count("cond[Step,Base]") == 4  # F's + three recursive sites
         # timestamps are non-decreasing per worker
         by_worker = {}
         for ts, wid, *_ in res.trace:

@@ -1,8 +1,9 @@
 """Graph construction: subgraphs, captures, laziness wiring, build errors."""
 
+import numpy as np
 import pytest
 
-from rdg import BuildError, Graph, Tensor
+from rdg import BuildError, ExecutionError, Graph, RunOptions, Tensor, run
 from rdg.graph import RowTable, Shape, TableShape
 
 
@@ -333,7 +334,7 @@ class TestDump:
             "  0: input[0]() -> 1x1\n"
             "  1: const[1x1]() -> 1x1\n"
             "  2: binary[add](0, 1) -> 1x1\n"
-            "  3: invoke[F](2) -> 1x1\n"
+            "  3: cond[Step,Base](2, 2) -> 1x1\n"
             "  4: binary[hadamard](0, 3) -> 1x1\n"
             "  outputs: 4\n"
         )
@@ -343,3 +344,135 @@ class TestDump:
         f1 = build_countdown()[0].finalize().dump()
         f2 = build_countdown()[0].finalize().dump()
         assert f1 == f2
+
+
+def _section(fg, name: str) -> str:
+    """The dump lines of SubGraph `name`'s body."""
+    section = fg.dump().split(f"subgraph {name}:")[1].split("subgraph ")[0]
+    return section.split("\n", 1)[1]
+
+
+class TestInlineDispatchers:
+    """finalize runs a dispatcher's cond in each body that invokes it: a
+    dispatcher holds only compute nodes and one cond that yields its
+    outputs, and captures only top-level nodes."""
+
+    def test_mutual_recursion_steps_run_the_cond(self):
+        # criterion 8's pair: Even/Odd dispatch to EvenStep/OddStep or Stop,
+        # and each step invokes the other dispatcher
+        g = Graph()
+        sig = [(1, 1), (1, 1)], [(1, 1)]
+        even, odd = g.declare_subgraph("Even", *sig), g.declare_subgraph("Odd", *sig)
+        even_step = g.declare_subgraph("EvenStep", *sig)
+        odd_step = g.declare_subgraph("OddStep", *sig)
+        stop = g.declare_subgraph("Stop", *sig)
+        b = g.body(stop)
+        b.set_outputs([b.neg(b.neg(b.args[0]))])
+        g.define_subgraph(stop, b)
+        for ref, other, scale in ((even_step, odd, 0.5), (odd_step, even, 2.0)):
+            b = g.body(ref)
+            x, n = b.args
+            x2 = b.hadamard(x, b.constant(Tensor.scalar(scale)))
+            n2 = b.sub(n, b.constant(Tensor.ones(1, 1)))
+            b.set_outputs(b.invoke(other, [x2, n2]))
+            g.define_subgraph(ref, b)
+        for ref, step in ((even, even_step), (odd, odd_step)):
+            b = g.body(ref)
+            x, n = b.args
+            b.set_outputs(b.cond(n, step, stop, [x, n]))
+            g.define_subgraph(ref, b)
+        x0, n0 = g.placeholder((1, 1), "x0"), g.placeholder((1, 1), "n0")
+        (out,) = g.invoke(even, [x0, n0])
+        fg = g.finalize()
+        assert "cond[OddStep,Stop]" in _section(fg, "EvenStep")
+        assert "cond[EvenStep,Stop]" in _section(fg, "OddStep")
+        for name in ("EvenStep", "OddStep"):
+            assert "invoke[" not in _section(fg, name)
+        feeds = {"x0": Tensor.scalar(3.0), "n0": Tensor.scalar(5.0)}
+        res = run(fg, feeds, [out])
+        assert res.values[0].item() == 3.0 * 0.5 * 2.0 * 0.5 * 2.0 * 0.5
+        assert res.frames["Even"] == 1 and "Odd" not in res.frames
+        assert res.frames["EvenStep"] == 3 and res.frames["OddStep"] == 2
+
+    def test_dispatcher_capturing_an_enclosing_body_node_is_left_alone(self):
+        # Pick dispatches on a node of Outer, the body both it and Caller are
+        # nested in: it is no dispatcher, and Caller keeps its invoke
+        g = Graph()
+        outer, pick, caller, pos, neg = (
+            g.declare_subgraph(name, *scalar_sig())
+            for name in ("Outer", "Pick", "Caller", "Pos", "Neg")
+        )
+        for ref, f in ((pos, "square"), (neg, "neg")):
+            b = g.body(ref)
+            b.set_outputs([b.unary(b.args[0], f)])
+            g.define_subgraph(ref, b)
+        ob = g.body(outer)
+        (x,) = ob.args
+        y = ob.add(x, x)
+        pb = ob.body(pick)
+        pb.set_outputs(pb.cond(y, pos, neg, [pb.add(pb.args[0], y)]))
+        g.define_subgraph(pick, pb)
+        cb = ob.body(caller)
+        cb.set_outputs(cb.invoke(pick, [cb.args[0]]))
+        g.define_subgraph(caller, cb)
+        ob.set_outputs(ob.invoke(caller, [x]))
+        g.define_subgraph(outer, ob)
+        xx = g.placeholder((1, 1), "x")
+        (out,) = g.invoke(outer, [xx])
+        fg = g.finalize()
+        assert "invoke[Pick]" in _section(fg, "Caller")
+        assert "invoke[Caller]" in _section(fg, "Outer")
+        res = run(fg, {"x": Tensor.scalar(1.5)}, [out])
+        assert res.values[0].item() == (1.5 + 3.0) ** 2
+        assert res.frames["Pick"] == 1 and res.frames["Pos"] == 1
+        res = run(fg, {"x": Tensor.scalar(0.1)}, [out])
+        assert np.isclose(res.values[0].item(), -(0.1 + 0.2))
+        assert res.frames["Neg"] == 1
+
+    def test_dispatcher_enclosing_its_branches_is_left_alone(self):
+        # Leaf and Internal are nested in D and Leaf captures y, a node D
+        # computes from its input: each Leaf frame must read its own D
+        # frame's y, so D is no target and Internal keeps its invoke
+        g = Graph()
+        sig = [(1, 1), (1, 1)], [(1, 1)]
+        d = g.declare_subgraph("D", *sig)
+        leaf, internal = g.declare_subgraph("Leaf", *sig), g.declare_subgraph("Internal", *sig)
+        db = g.body(d)
+        x, n = db.args
+        y = db.unary(x, "square")
+        lb = db.body(leaf)
+        lb.set_outputs([lb.neg(y)])
+        g.define_subgraph(leaf, lb)
+        ib = db.body(internal)
+        one = ib.constant(Tensor.ones(1, 1))
+        ib.set_outputs(ib.invoke(d, [ib.add(ib.args[0], one), ib.sub(ib.args[1], one)]))
+        g.define_subgraph(internal, ib)
+        db.set_outputs(db.cond(n, internal, leaf, [x, n]))
+        g.define_subgraph(d, db)
+        x0, n0 = g.placeholder((1, 1), "x0"), g.placeholder((1, 1), "n0")
+        (out,) = g.invoke(d, [x0, n0])
+        fg = g.finalize()
+        assert "invoke[D]" in _section(fg, "Internal")
+        res = run(fg, {"x0": Tensor.scalar(1.5), "n0": Tensor.scalar(2.0)}, [out])
+        assert res.values[0].item() == -(3.5**2)
+        assert res.frames["D"] == 3 and res.frames["Internal"] == 2 and res.frames["Leaf"] == 1
+
+    @pytest.mark.parametrize("name", ["Loop", "Forever"])
+    def test_self_invoking_bodies_are_no_dispatchers(self, name):
+        # criterion 7's body invokes itself: it holds no cond, keeps its
+        # invoke, and still runs into the depth guard
+        g = Graph()
+        f = g.declare_subgraph(name, *scalar_sig())
+        fb = g.body(f)
+        fb.set_outputs(fb.invoke(f, [fb.args[0]]))
+        g.define_subgraph(f, fb)
+        x = g.placeholder((1, 1), "x")
+        (y,) = g.invoke(f, [x])
+        fg = g.finalize()
+        assert _section(fg, name) == (
+            "  0: input[0]() -> 1x1\n"
+            f"  1: invoke[{name}](0) -> 1x1\n"
+            "  outputs: 1\n"
+        )
+        with pytest.raises(ExecutionError, match="recursion depth 513 exceeds limit 512"):
+            run(fg, {"x": Tensor.scalar(1.0)}, [y], RunOptions())

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from rdg import (
-    RowGrads, RunOptions, Tensor, differentiate, executor, run, run_training_step,
+    Graph, RowGrads, RunOptions, Tensor, differentiate, executor, run, run_batch,
+    run_training_step,
 )
 from rdg.data import TreeInstance, Vocab, generate_synthetic
 from rdg.models import (
+    BuiltModel,
     CapacityError,
     ModelConfig,
     build_iterative,
@@ -30,6 +32,9 @@ from rdg.models import (
     make_feeds,
     param_shapes,
     save_checkpoint,
+    _internal_cell,
+    _leaf_cell,
+    _n_states,
 )
 from rdg.oracle import oracle_forward, oracle_forward_backward
 
@@ -329,11 +334,13 @@ class TestModelIdentities:
 
 class TestBuilderStructure:
     def test_internal_body_has_exactly_two_recursive_sites(self):
+        # Model only dispatches, so finalize runs its cond in Internal's body
         rec = build_recursive(ModelConfig("treernn", d=3, vocab=5, classes=2))
         dump = rec.graph.dump()
         sections = dump.split("subgraph ")
         internal = next(s for s in sections if s.startswith("Internal:"))
-        assert internal.count("invoke[Model]") == 2
+        assert internal.count("cond[Leaf,Internal]") == 2
+        assert "invoke[" not in internal
         model = next(s for s in sections if s.startswith("Model:"))
         assert model.count("cond[Leaf,Internal]") == 1
 
@@ -354,7 +361,8 @@ class TestBuilderStructure:
         rng = np.random.default_rng(8)
         tree = generate_synthetic("moderate", 5, 11, 2, rng)  # 5 leaves, 4 internal
         res = run(rec.graph, make_feeds(rec, tree), [rec.loss], RunOptions(), params)
-        assert res.frames["Model"] == tree.n_nodes == 9
+        assert res.frames["Model"] == 1  # the top's call; Internal runs its cond
+        assert res.frames["Leaf"] + res.frames["Internal"] == tree.n_nodes == 9
         assert res.frames["Leaf"] == 5
         assert res.frames["Internal"] == 4
 
@@ -465,10 +473,11 @@ class TestGradientGraph:
         cfg = ModelConfig("treelstm", d=16, vocab=21, classes=2)
         rec = build_recursive(cfg)
         g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
-        tree = generate_synthetic("balanced", 64, 20, 2, np.random.default_rng(0))
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
-        res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
-        assert len(res.trace) <= 6_700  # one row per executed (frame, node)
+        for leaves, rows in ((64, 6_432), (128, 12_896)):  # 127 and 255 nodes
+            tree = generate_synthetic("balanced", leaves, 20, 2, np.random.default_rng(0))
+            res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
+            assert len(res.trace) == rows  # one row per executed (frame, node)
 
     def test_treelstm_forward_returns_into_result_slots(self, monkeypatch):
         # a call returns both TreeLSTM states straight into the caller's
@@ -488,9 +497,9 @@ class TestGradientGraph:
         res = run(
             rec.graph, make_feeds(rec, tree), [rec.loss], RunOptions(trace=True), init_params(cfg)
         )
-        assert len(res.trace) == 2_921
+        assert len(res.trace) == 2_795
         assert not [r for r in res.trace if r[4].split("[")[0] in ("select", "result")]
-        assert rounds <= 36
+        assert rounds <= 24
 
     def test_linear_treernn_step_rounds(self, monkeypatch):
         # one frame per group: a straight-line segment of a body costs one
@@ -510,18 +519,20 @@ class TestGradientGraph:
         monkeypatch.setattr(executor, "_round", counted)
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
         res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
-        assert rounds <= 1_700
-        assert len(res.trace) == 6_000  # no row for the products fused into sink adds
+        assert rounds <= 1_010
+        assert len(res.trace) == 5_204  # no row for the products fused into sink adds
 
     def test_deepest_linear_tree_the_depth_guard_admits(self):
-        # 256 leaves in a line: the deepest forward and gradient frames are
-        # 512 call sites below the top, the default limit, and each gradient
-        # frame must be paired with its own forward frame
+        # 511 leaves (1,021 nodes) in a line: the top's call of Model, then
+        # one call site per tree level, puts the deepest forward and gradient
+        # frames 512 call sites below the top, the default limit; each
+        # gradient frame must be paired with its own forward frame
         cfg = ModelConfig("treernn", d=4, vocab=12, classes=3)
         rec = build_recursive(cfg)
         params = init_params(cfg, seed=5, scale=0.3)
         g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
-        tree = generate_synthetic("linear", 256, 11, 3, np.random.default_rng(4))
+        tree = generate_synthetic("linear", 511, 11, 3, np.random.default_rng(4))
+        assert tree.n_nodes == 1_021 and RunOptions().max_recursion_depth == 512
         loss, grads = run_training_step(
             g, gm, make_feeds(rec, tree), params, RunOptions(threads=1)
         )
@@ -530,6 +541,76 @@ class TestGradientGraph:
         for name in params:
             scale = max(1.0, float(np.abs(want[name]).max()))
             assert np.abs(_dense(grads[name]) - want[name]).max() / scale < 1e-7, name
+
+
+def _build_hand_inlined(cfg: ModelConfig) -> BuiltModel:
+    """`build_recursive`'s graph with Model's cond written into Internal by
+    hand, through the public builder: the form finalize gives the default
+    build."""
+    d, kind = cfg.d, cfg.kind
+    g = Graph()
+    P = {name: g.parameter(name, shape) for name, shape in param_shapes(cfg).items()}
+    names = ("tokens", "is_leaf", "lefts", "rights", "labels")
+    feeds = {name: g.placeholder((None, 1), name) for name in names}
+    feeds["root"] = root = g.placeholder((1, 1), "root")
+    sig = [(d, 1)] * _n_states(kind)
+    model, leaf, internal = (
+        g.declare_subgraph(name, [(1, 1)], sig) for name in ("Model", "Leaf", "Internal")
+    )
+
+    def dispatch(b, idx):
+        return b.cond(b.gather_row(feeds["is_leaf"], idx), leaf, internal, [idx])
+
+    mb = g.body(model)
+    mb.set_outputs(dispatch(mb, mb.args[0]))
+    g.define_subgraph(model, mb)
+    lb = g.body(leaf)
+    tok = lb.gather_row(feeds["tokens"], lb.args[0])
+    lb.set_outputs(_leaf_cell(lb, P, kind, lb.transpose(lb.gather_row(P["E"], tok))))
+    g.define_subgraph(leaf, lb)
+    ib = g.body(internal)
+    (idx,) = ib.args
+    lkid = ib.gather_row(feeds["lefts"], idx)
+    rkid = ib.gather_row(feeds["rights"], idx)
+    louts, routs = dispatch(ib, lkid), dispatch(ib, rkid)
+    ib.set_outputs(_internal_cell(ib, P, kind, d, louts, routs))
+    g.define_subgraph(internal, ib)
+
+    (h_root, *_) = g.invoke(model, [root])
+    prediction = g.transpose(g.add(g.matmul(P["Ws"], h_root), P["bs"]))
+    loss = g.softmax_xent(prediction, g.gather_row(feeds["labels"], root))
+    return BuiltModel(g.finalize(), loss, prediction, feeds, P, cfg, mode="recursive")
+
+
+class TestInlinedDispatch:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_default_build_matches_a_hand_inlined_internal(self, kind):
+        # finalize inlines Model's dispatch into Internal, so the paper's
+        # form runs as the hand-inlined graph does: same losses, gradients
+        # and node executions, over batched and per-frame groups alike
+        cfg = ModelConfig(kind, d=4, vocab=12, classes=3)
+        params = init_params(cfg, seed=2, scale=0.3)
+        rng = np.random.default_rng(5)
+        trees = [
+            generate_synthetic(shape, leaves, 11, 3, rng)
+            for shape, leaves in (("balanced", 16), ("moderate", 7), ("linear", 5))
+        ]
+        got = {}
+        for label, model in (("default", build_recursive(cfg)), ("hand", _build_hand_inlined(cfg))):
+            g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+            fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+            feeds = [make_feeds(model, t) for t in trees]
+            got[label] = run_batch(g, feeds, fetches, RunOptions(trace=True), params)
+        for a, b in zip(got["default"], got["hand"]):
+            assert a.values[0].item() == b.values[0].item()
+            for x, y in zip(a.values[1:], b.values[1:]):
+                x, y = _dense(x), _dense(y)
+                if kind == "treernn":
+                    np.testing.assert_array_equal(x, y)
+                else:
+                    assert np.abs(x - y).max() <= 1e-15 * max(1.0, np.abs(y).max())
+        assert len(got["default"][0].trace) == len(got["hand"][0].trace)
+        assert got["default"][0].frames == got["hand"][0].frames
 
 
 class TestConfigAndCheckpoint:

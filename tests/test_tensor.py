@@ -27,7 +27,7 @@ def kernel(kind, *operands, payload=None):
     """
     g = Graph()
     node = g.add_node(kind, [g.constant(x) for x in operands], payload=payload)
-    fns, _, _ = kernels.compile_body(g)
+    fns, _, _, _ = kernels.compile_body(g)
     return fns[node.id](list(operands))
 
 
