@@ -11,7 +11,7 @@ frames whose children returned together. A segment runs for its group in
 one call, member by member in waves of independent members. From
 `_BATCH_MIN` frames up each member runs as one stacked numpy kernel over the
 k per-frame values (the batched variants in `kernels.py`), and its result
-stays one read-only stack; frames get views of it only where something
+stays one read-only stack; frames hold slices of it only where something
 outside the segment reads it. Smaller groups run it frame by frame.
 Independent subtrees thus cost one call per segment and level rather than
 one per node and frame, which is how the recursive form turns a wide
@@ -21,8 +21,8 @@ small numpy ops.
 A group under `_BATCH_MIN` frames runs its segment as one generated function
 per frame (`kernels.compile_segment`, made on the segment's first such group
 and kept on its body): the members run in the member loop's order on plain
-arrays, and only values read outside the segment become tensors in the
-frame. A segment with a member heavy enough to hand to a worker thread at
+arrays, and only values read outside the segment are written to the frame.
+A segment with a member heavy enough to hand to a worker thread at
 some group size under `_BATCH_MIN` (a stall) keeps the member loop, so the
 thread count never changes which path a group takes.
 
@@ -30,6 +30,12 @@ thread count never changes which path a group takes.
 frames at the same unit share groups, so a batch of narrow trees fills the
 stacked kernels that one wide tree fills on its own. Each instance keeps its
 own top frame, gradient sink and fetches; `run` is a batch of one.
+
+A frame holds each value as a read-only float64 array, a `RowTable`, a
+`RowGrads`, or None (no gradient flows). `Tensor` exists only at
+`run_batch`'s boundary, which unwraps feeds and parameters and wraps fetched
+arrays without a copy. Each gradient sink entry sums in a private array
+(see `kernels.sink_put`), so no frame value is ever written.
 
 The thread that called `run` owns all bookkeeping: it forms the groups,
 counts down dependents, expands control nodes, adds to the gradient sinks,
@@ -258,10 +264,6 @@ class _RunState:
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
         self.traces[wid].extend([(ts, wid, f.path, nid, label) for f in frames])
-
-
-def _truthy(t: Tensor) -> bool:
-    return abs(float(t.a[0, 0])) > 0.5
 
 
 def _op_label(body, nid: int) -> str:
@@ -500,7 +502,7 @@ def _run_cond(state, body, nid, frames):
     pred = body.inputs[nid][0]
     taken = ([], [])  # parents on the else / then branch
     for f in frames:
-        taken[_truthy(f.values[pred])].append(f)
+        taken[abs(f.values[pred].item(0)) > 0.5].append(f)
     if taken[1]:
         _spawn(state, _call_site(state, body, nid, 1), taken[1], nid)
     if taken[0] and state.error is None:
@@ -531,10 +533,14 @@ def _run_cond_grad(state, body, nid, frames):
 
 
 def _sink_read(sink: dict, nid: int, shape):
+    """An entry's sum as a frame value, zeros if nothing arrived. A dense sum
+    is frozen where it lies: every gradient call it waits on has returned."""
     acc = sink.get(nid)
     if acc is None:
-        return Tensor.zeros(shape.rows, shape.cols)
-    return Tensor._wrap(acc) if type(acc) is np.ndarray else acc
+        acc = np.zeros((shape.rows, shape.cols))
+    if type(acc) is np.ndarray:
+        acc.flags.writeable = False
+    return acc
 
 
 def _run_control(state: _RunState, body, nid: int, frames):
@@ -569,9 +575,11 @@ def _operands(body, ids, frames, stacks: dict) -> list:
         if a is None:
             v = frames[0].values[i]
             if body.run_wide[i] or (body.shared[i] and all(f.values[i] is v for f in frames)):
-                a = v.a  # one value for every frame
+                a = v  # one value for every frame
             else:
-                a = np.array([f.values[i].a for f in frames])
+                a = np.array([f.values[i] for f in frames])
+                if a.dtype != np.float64:
+                    raise ValueError(f"node {i}: cannot stack a missing value")
             stacks[i] = a
         ops.append(a)
     return ops
@@ -588,10 +596,10 @@ def _stack(out, k: int):
 
 
 def _views(stack, k: int) -> list:
-    """Per-frame tensors reading a checked batched result without copying it."""
+    """Per-frame values of a checked batched result: read-only views of it."""
     if stack.ndim == 2:  # every operand was shared: one value for all frames
-        return [Tensor._wrap(stack)] * k
-    return Tensor._slices(stack)
+        return [stack] * k
+    return list(stack)
 
 
 def _unresolved(body, u: int, frames):
@@ -730,7 +738,7 @@ def _sink_add(body, nid: int, sink, frames, stacks):
                 parts = [a[s * r : e * r].T @ b[s * r : e * r] for s, e in zip(starts, ends)]
             for inst, part in zip(insts, parts):
                 try:
-                    sink_put(inst.sink, top_id, part)
+                    sink_put(inst.sink, top_id, part, True)
                 except TypeError as exc:
                     return exc, next(f for f in frames if f.inst is inst)
             return None
@@ -740,11 +748,11 @@ def _sink_add(body, nid: int, sink, frames, stacks):
             v = vals[ids[0]]
         else:
             a, b = vals[ids[0]], vals[ids[1]]
-            v = None if a is None or b is None else product(a.a, b.a)
+            v = None if a is None or b is None else product(a, b)
         if v is None:
             continue
         try:
-            sink_put(f.inst.sink, top_id, v)
+            sink_put(f.inst.sink, top_id, v, product is not None)
         except TypeError as exc:
             return exc, f
     return None
@@ -833,9 +841,9 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
         run = seg.run
         for f in frames:
             run(f.values, f.inst.sink, later)
-        for top, adds in zip(seg.deferred, later):
+        for (top, own), adds in zip(seg.deferred, later):
             for sink, v in adds:
-                sink_put(sink, top, v)
+                sink_put(sink, top, v, own)
     except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
         err = _run_members(state, body, body.waves[u], frames, None)
         return err if err is not None else (exc, frames[0], seg.members[0])
@@ -967,7 +975,7 @@ def run_batch(
                 raise ExecutionError(
                     f"feed for {name!r} has shape {v.rows}x{v.cols}, expected {shape}"
                 )
-            values[nid] = v
+            values[nid] = v.a
         for nid, name, shape in top.parameters:
             if name not in params:
                 raise ExecutionError(f"parameter {name!r} missing from the parameter store")
@@ -976,7 +984,7 @@ def run_batch(
                 raise ExecutionError(
                     f"parameter {name!r} has shape {v.rows}x{v.cols}, expected {shape}"
                 )
-            values[nid] = v
+            values[nid] = v.a
         frame.inst.fetch_remaining = sum(1 for i in state.watched if values[i] is _PENDING)
         if frame.inst.fetch_remaining:
             state.open += 1
@@ -1010,7 +1018,10 @@ def run_batch(
             )
         results.append(
             RunResult(
-                values=[values[i] for i in fetch_ids],
+                values=[
+                    Tensor._wrap(v) if type(v) is np.ndarray else v
+                    for v in (values[i] for i in fetch_ids)
+                ],
                 frames=frame.inst.frames,
                 peak_concurrency=state.peak,
                 trace=trace,

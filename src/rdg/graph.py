@@ -936,7 +936,7 @@ class CompiledBody:
                 self.run_wide[nd.id] = src in ("parameter", "const")
             elif nd.kind in preset_kinds:
                 value = nd.payload if nd.kind == "const" else None
-                self.preset.append((nd.id, value))
+                self.preset.append((nd.id, value.a if isinstance(value, Tensor) else value))
                 initial.add(nd.id)
                 self.shared[nd.id] = self.run_wide[nd.id] = nd.kind == "const"
             elif nd.kind == "placeholder":

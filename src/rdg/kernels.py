@@ -1,9 +1,11 @@
 """Per-node compute closures, compiled once at finalize, and per-segment
 functions, compiled on a segment's first use.
 
-Each kernel maps the frame's value list to the node's value. Control kinds
-(invoke, cond, cond_grad, the gradient sink's reads) have no kernel here; the
-scheduler interprets those, and a returning call writes its further outputs
+Each kernel maps the frame's value list to the node's value. A dense value
+is a read-only float64 array: a kernel reads its operands' arrays as they
+are and freezes the array it returns. Control kinds (invoke, cond,
+cond_grad, the gradient sink's reads) have no kernel here; the scheduler
+interprets those, and a returning call writes its further outputs
 straight into its `result` slots, which have none either. The sink's adds
 have none: they are segment members that the scheduler runs from
 `CompiledBody.sinks`, summing a matmul source that only they read
@@ -30,7 +32,8 @@ failing frame.
 A group too small to stack runs its segment through `compile_segment`: one
 generated function that runs every member for one frame on plain arrays.
 The maths of each kind is one function on arrays (`_dense_fn`), which both
-the per-frame kernels and the generated code call.
+the per-frame kernels and the generated code call; the generated code
+freezes only the arrays it writes to the frame.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .tensor import Tensor, index_of, index_value, softmax_cross_entropy
+from .tensor import index_of, softmax_cross_entropy
 from . import graph as _g
 
 CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "grad_out"})
@@ -55,7 +58,12 @@ INIT_KINDS = frozenset(
     {"const", "none_const", "input", "capture", "fwd_value", "placeholder", "parameter"}
 )
 
-_W = Tensor._wrap
+
+def _frozen(a):
+    """a, made read-only where it lies: a kernel's result is a new array or
+    a view of read-only operands, so it needs no copy."""
+    a.flags.writeable = False
+    return a
 
 
 def _unary_fn(tag):
@@ -118,8 +126,7 @@ def _gather(table, i):
 
 
 def _xent(logits, label):
-    loss, _ = softmax_cross_entropy(_W(logits), index_of(label))
-    return np.array([[loss]])
+    return np.array([[softmax_cross_entropy(logits, index_of(label))[0]]])
 
 
 def _xent_bwd(logits, label):
@@ -162,16 +169,16 @@ def _build_strict(node):
     if f is not None:
         if len(ins) == 1:
             (a,) = ins
-            return lambda v: _W(f(v[a].a))
+            return lambda v: _frozen(f(v[a]))
         a, b = ins
-        return lambda v: _W(f(v[a].a, v[b].a))
+        return lambda v: _frozen(f(v[a], v[b]))
     if k == "scatter_row":
         a, b = ins
         shape = node.payload
 
         def scatter(v):
-            i = index_value(v[b])
-            return _g.RowGrads(shape.rows, shape.cols, ((i, v[a].a),))
+            i = index_of(v[b])
+            return _g.RowGrads(shape.rows, shape.cols, ((i, v[a]),))
 
         return scatter
     if k == "grad_accum":
@@ -180,11 +187,11 @@ def _build_strict(node):
         a, b = ins
 
         def tget(v):
-            i = index_value(v[b])
+            i = index_of(v[b])
             t = v[a]
             if not (0 <= i < len(t.slots)):
                 raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
-            return _W(t.slots[i])
+            return t.slots[i]
 
         return tget
     if k == "table_set":
@@ -192,10 +199,10 @@ def _build_strict(node):
 
         def tset(v):
             t = v[a]
-            i = index_value(v[b])
+            i = index_of(v[b])
             if not (0 <= i < len(t.slots)):
                 raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
-            return t.set(i, v[c].a)
+            return t.set(i, v[c])
 
         return tset
     if k == "table_adj_scatter":
@@ -204,8 +211,8 @@ def _build_strict(node):
         base = _g.RowTable.zeros(shape.rows, shape.cols)
 
         def tscatter(v):
-            i = index_value(v[b])
-            return base.set(i, v[a].a)
+            i = index_of(v[b])
+            return base.set(i, v[a])
 
         return tscatter
     if k == "table_zero_slot":
@@ -219,7 +226,7 @@ def _build_strict(node):
                 z = np.zeros((t.cols, 1))
                 z.flags.writeable = False
                 zcol = z
-            return t.set(index_value(v[b]), zcol)
+            return t.set(index_of(v[b]), zcol)
 
         return tzero
     raise _g.BuildError(f"no kernel for kind {node.kind!r}")
@@ -233,21 +240,20 @@ def _build_grad_accum(ins):
     return accum
 
 
-def sink_put(sink: dict, top_id: int, v):
-    """Add contribution v (a private array, a Tensor, row gradients or a row
-    table) to a sink entry. A dense entry is a private array, added to in
-    place; mixing kinds in one entry raises TypeError."""
+def sink_put(sink: dict, top_id: int, v, own: bool):
+    """Add contribution v (an array, row gradients or a row table) to a sink
+    entry. A dense entry is a private array, added to in place. The caller
+    says whether v is its own (`own`: a fused product or a partial sum that
+    nothing else holds), which a new entry adopts; anything else is a frame's
+    value, which a new entry copies, so no frame value is ever written.
+    Mixing kinds in one entry raises TypeError."""
     acc = sink.get(top_id)
     if acc is None:
-        sink[top_id] = v.a.copy() if type(v) is Tensor else v
-        return
-    if type(acc) is np.ndarray:
-        if type(v) is Tensor:
-            v = v.a
-        if type(v) is np.ndarray:
-            acc += v
-            return
-    sink[top_id] = add_grads(acc, v)
+        sink[top_id] = v.copy() if type(v) is np.ndarray and not own else v
+    elif type(acc) is np.ndarray and type(v) is np.ndarray:
+        acc += v
+    else:
+        sink[top_id] = add_grads(acc, v)
 
 
 def add_grads(a, b):
@@ -262,7 +268,7 @@ def add_grads(a, b):
         for x in slots:
             x.flags.writeable = False
         return _g.RowTable(slots, a.cols)
-    return _W(a.a + b.a)
+    return _frozen(a + b)
 
 
 def _none_prop(fn, ins):
@@ -362,7 +368,7 @@ def _bmatmul(a, b):
 def _bindices(x):
     """Non-negative integral indices from k stacked 1x1 tensors.
 
-    Within 1e-9 of an integer, as index_value asks. Too large an index makes
+    Within 1e-9 of an integer, as `index_of` asks. Too large an index makes
     the caller's fancy indexing raise.
     """
     if x.ndim != 3 or x.shape[1:] != (1, 1):
@@ -464,14 +470,7 @@ class CompiledSegment(NamedTuple):
 
     run: Callable  # run(frame values, the instance's sink, held-back sink adds)
     members: tuple  # the members it runs, in the member loop's order
-    deferred: tuple  # per held-back sink add, its top-level node id
-
-
-def _held(a):
-    """A compiled member's array as a frame value: frozen where it lies, since
-    nothing writes a segment's arrays, so a view needs no copy."""
-    a.flags.writeable = False
-    return _W(a)
+    deferred: tuple  # per held-back sink add, its top-level node id and ownership
 
 
 def compile_segment(body, u: int) -> CompiledSegment:
@@ -481,9 +480,9 @@ def compile_segment(body, u: int) -> CompiledSegment:
     A member with array maths (`_dense_fn`) keeps its value as a local
     array; only members that something outside the segment reads
     (`exposed`), or that a member's kernel reads from the frame, are
-    written to the frame, as tensors. The other kinds (row tables, row
-    gradients, `grad_accum`) run their kernel on the frame. None-propagating
-    members give None when an operand is None, as their kernels do. A sink
+    written to the frame, frozen where they lie. The other kinds (row
+    tables, row gradients, `grad_accum`) run their kernel on the frame.
+    None-propagating members give None when an operand is None, as their kernels do. A sink
     add puts its contribution straight into the instance's sink, a fused
     product computed from its operands; a later sink add of the same entry
     is held back in `later` until the group's frames have all run, so every
@@ -500,7 +499,7 @@ def compile_segment(body, u: int) -> CompiledSegment:
     for m in members:
         if m not in local and body.sinks[m] is None:  # its kernel reads the frame
             framed.update(j for j in body.inputs[m] if j in local)
-    ns = {"held": _held, "put": sink_put}
+    ns = {"put": sink_put}
     lines = ["def segment(v, sink, later):"]
     loaded = set()
 
@@ -512,9 +511,6 @@ def compile_segment(body, u: int) -> CompiledSegment:
             loaded.add(j)
         return f"t{j}"
 
-    def arr(j):
-        return ref(j) if j in local else f"{ref(j)}.a"
-
     tops: set = set()
     deferred: list = []
     for m in members:
@@ -524,37 +520,32 @@ def compile_segment(body, u: int) -> CompiledSegment:
             top, ids, product = sink.top, sink.ids, sink.product
             if body.exposed[m]:  # a top-level grad_out waits on it
                 lines.append(f"    v[{m}] = None")
+            checks = [ref(j) for j in ids]
             if product is None:
-                (src,) = ids
-                checks = [ref(src)]
-                if src in framed:
-                    value = f"v[{src}]"
-                elif src in local:
-                    value = f"held(x{src})"  # the sink copies a tensor it keeps
-                else:
-                    value = checks[0]
+                value = checks[0]
             else:
                 ns[f"p{m}"] = product
-                checks = [ref(j) for j in ids]
-                value = f"p{m}({', '.join(arr(j) for j in ids)})"
+                value = f"p{m}({', '.join(checks)})"
+            own = product is not None
             if top in tops:
                 add = f"later[{len(deferred)}].append((sink, {value}))"
-                deferred.append(top)
+                deferred.append((top, own))
             else:
-                add = f"put(sink, {top}, {value})"
+                add = f"put(sink, {top}, {value}, {own})"
                 tops.add(top)
             lines.append(f"    if {' and '.join(c + ' is not None' for c in checks)}:")
             lines.append(f"        {add}")
         elif m in local:
             ns[f"f{m}"] = dense[m]
-            call = f"f{m}({', '.join(arr(j) for j in ins)})"
+            call = f"f{m}({', '.join(ref(j) for j in ins)})"
             lenient = _lenient(body.mirrors, nodes[m])
             if lenient:
                 call = f"None if {' or '.join(ref(j) + ' is None' for j in ins)} else {call}"
             lines.append(f"    x{m} = {call}")
             if m in framed:
-                held = f"None if x{m} is None else held(x{m})" if lenient else f"held(x{m})"
-                lines.append(f"    v[{m}] = {held}")
+                freeze = f"x{m}.flags.writeable = False"
+                lines.append(f"    if x{m} is not None: {freeze}" if lenient else f"    {freeze}")
+                lines.append(f"    v[{m}] = x{m}")
         else:
             ns[f"k{m}"] = body.kernels[m]
             lines.append(f"    t{m} = v[{m}] = k{m}(v)")

@@ -1,11 +1,14 @@
-"""Dense 2-D float64 tensors.
+"""Dense 2-D float64 tensors: the values a caller hands to a run and gets back.
 
-Every value that flows through a graph edge is one of these: row-major,
-64-bit, exactly two dimensions (vectors are single-row or single-column
-matrices). Backing arrays are frozen, so an in-place mutation of an input is
-an error rather than a silent bug. The ops over them are the compiled
-kernels of `kernels.py`; this module keeps the helpers they share: the
-softmax cross-entropy, reading an index out of a tensor, and initialisation.
+A `Tensor` is row-major, 64-bit and exactly two-dimensional (vectors are
+single-row or single-column matrices), and its backing array is frozen, so
+an in-place mutation is an error rather than a silent bug. Feeds, parameters,
+constants and fetched values are tensors. Inside a run a dense value is the
+frozen array itself (see `executor.py`): the executor unwraps feeds and
+parameters on the way in and wraps what it fetches on the way out. The ops
+are the compiled kernels of `kernels.py`; this module keeps the helpers they
+share, which take arrays (the softmax cross-entropy, and reading an index
+out of a 1x1 array), and parameter initialisation.
 """
 
 from __future__ import annotations
@@ -53,23 +56,6 @@ class Tensor:
             a.flags.writeable = False
         object.__setattr__(t, "a", a)
         return t
-
-    @classmethod
-    def _slices(cls, stacked: np.ndarray) -> list["Tensor"]:
-        """One tensor per slice of a read-only k x r x c float64 array.
-
-        The tensors are views of the stack: nothing is copied.
-        """
-        if stacked.dtype != np.float64 or stacked.ndim != 3 or stacked.flags.writeable:
-            raise ValueError(f"need a read-only 3-D float64 stack, got {stacked.dtype} "
-                             f"{stacked.shape}")
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for a in stacked:
-            t = new(cls)
-            put(t, "a", a)
-            out.append(t)
-        return out
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "Tensor":
@@ -142,24 +128,24 @@ class Tensor:
         return f"Tensor({self.rows}x{self.cols})"
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> tuple[float, Tensor]:
-    """Loss -log softmax(logits)[label] and its gradient w.r.t. the logits.
+def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Loss -log softmax(logits)[label] of a 1xC array, and its gradient
+    w.r.t. the logits as a new array.
 
     Stabilized by max-subtraction, so huge logits cannot overflow.
     """
-    if logits.rows != 1:
-        raise DimensionError(f"logits must be 1xC, got {logits.shape}")
-    c = logits.cols
+    if logits.shape[0] != 1:
+        raise DimensionError(f"logits must be 1xC, got {logits.shape[0]}x{logits.shape[1]}")
+    c = logits.shape[1]
     if not 0 <= label < c:
         raise IndexError(f"label {label} out of range for {c} classes")
-    z = logits.a[0] - logits.a[0].max()
+    z = logits[0] - logits[0].max()
     ez = np.exp(z)
     p = ez / ez.sum()
     # -log p[label] computed from the shifted logits to avoid log(0) underflow
     loss = float(np.log(ez.sum()) - z[label])
-    grad = p.copy()
-    grad[label] -= 1.0
-    return loss, Tensor._wrap(grad.reshape(1, c))
+    p[label] -= 1.0
+    return loss, p.reshape(1, c)
 
 
 def random_init(shape: Shape | tuple[int, int], scale: float, rng: np.random.Generator) -> Tensor:
@@ -169,17 +155,12 @@ def random_init(shape: Shape | tuple[int, int], scale: float, rng: np.random.Gen
     return Tensor._wrap(rng.uniform(-scale, scale, size=(rows, cols)))
 
 
-def index_value(t: Tensor) -> int:
-    """Read a scalar index out of a 1x1 tensor.
+def index_of(a: np.ndarray) -> int:
+    """Read a scalar index out of a 1x1 array.
 
-    Indices travel as ordinary tensors; at every op boundary that consumes
+    Indices travel as ordinary values; at every op boundary that consumes
     one, the value must sit within 1e-9 of an integer.
     """
-    return index_of(t.a)
-
-
-def index_of(a: np.ndarray) -> int:
-    """`index_value` of a tensor's array."""
     if a.shape != (1, 1):
         raise DimensionError(f"an index is a 1x1 tensor, got shape {a.shape}")
     v = float(a[0, 0])

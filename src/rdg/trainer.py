@@ -138,7 +138,7 @@ def adagrad_update(
             for i, grow in by_row.items():
                 s[i] += grow * grow
                 arr[i] -= lr * grow / (np.sqrt(s[i]) + ADAGRAD_EPS)
-            params[name] = Tensor.from_array(arr)
+            params[name] = Tensor._wrap(arr)
             continue
         ga = _dense_arr(g)
         if ga.shape != (p.rows, p.cols):
@@ -150,7 +150,7 @@ def adagrad_update(
             ga = ga + l2 * p.a
         s = state[name]
         s += ga * ga
-        params[name] = Tensor.from_array(p.a - lr * ga / (np.sqrt(s) + ADAGRAD_EPS))
+        params[name] = Tensor._wrap(p.a - lr * ga / (np.sqrt(s) + ADAGRAD_EPS))
 
 
 def sum_gradients(per_instance: list[dict]) -> dict:
@@ -167,7 +167,7 @@ def sum_gradients(per_instance: list[dict]) -> dict:
             acc = _dense_arr(gs[0]).copy()
             for g in gs[1:]:
                 acc += _dense_arr(g)
-            out[name] = Tensor.from_array(acc)
+            out[name] = Tensor._wrap(acc)
     return out
 
 

@@ -418,21 +418,21 @@ class TestBatching:
         stacked = []
         for i, spec in enumerate(operands):
             if spec.startswith("s:"):
-                t = Tensor.from_array(draw(spec))
-                stacked.append(t.a)
+                a = Tensor.from_array(draw(spec)).a  # frame values are read-only arrays
+                stacked.append(a)
                 for f in frames:
-                    f[i] = t
+                    f[i] = a
             else:
-                ts = [Tensor.from_array(draw(spec)) for _ in range(k)]
-                stacked.append(np.array([t.a for t in ts]))
-                for f, t in zip(frames, ts):
-                    f[i] = t
+                arrays = [Tensor.from_array(draw(spec)).a for _ in range(k)]
+                stacked.append(np.array(arrays))
+                for f, a in zip(frames, arrays):
+                    f[i] = a
         node = Node(len(operands), kind, payload, list(range(len(operands))), None)
         out = kernels._build_batched(node)(*stacked)
         per_frame = kernels._build_strict(node)
         for j, f in enumerate(frames):
             got = out if out.ndim == 2 else out[j]
-            np.testing.assert_allclose(got, per_frame(f).a, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, per_frame(f), rtol=1e-12, atol=1e-15)
 
     def test_same_node_frames_of_one_level_run_as_one_kernel(self):
         # Balanced trees of 64 and 256 leaves: 7 and 9 levels, 127 and 511
@@ -701,6 +701,62 @@ class TestRunBatch:
         g, x, y = build_countdown()
         with pytest.raises(ValueError, match="empty"):
             run_batch(g.finalize(), [], [y])
+
+
+def _two_site_sum():
+    """d(loss)/d(b, p, q) for loss = wa + yb + wb, where (_, wa) = F(p, q),
+    (yb, wb) = F(q, p) and F(x1, x2) = (tanh(x1 + b), tanh(x2 + b)).
+
+    F__grad adds dz_y = tanh_bwd(g_y, y), its first output, to b's sink
+    entry first, then dz_w. Site A drops y, so its gradient frame has no g_y:
+    in a batched group dz_y is computed, and added, frame by frame. Either
+    way the entry's first contribution is site B's dz_y, the value its frame
+    returns as the gradient of q, and dz_w is added to the entry after it.
+    """
+    g = Graph()
+    f = g.declare_subgraph("F", [(1, 1), (1, 1)], [(1, 1), (1, 1)])
+    p, q = g.placeholder((1, 1), "p"), g.placeholder((1, 1), "q")
+    b = g.parameter("b", (1, 1))
+    fb = g.body(f)
+    x1, x2 = fb.args
+    fb.set_outputs([fb.tanh(fb.add(x1, b)), fb.tanh(fb.add(x2, b))])
+    g.define_subgraph(f, fb)
+    _, wa = g.invoke(f, [p, q])
+    yb, wb = g.invoke(f, [q, p])
+    loss = g.add(wa, g.add(yb, wb))
+    fg, gm = differentiate(g.finalize(), loss, [b, p, q])
+    body = fg.bodies["F__grad"]
+    first, second = (s for s in body.sinks if s is not None)
+    assert first.top == second.top == b.id and first.product is second.product is None
+    assert first.ids[0] == body.outputs[0] and body.inputs[first.ids[0]][0] == body.arg_slots[0]
+    return fg, [gm.loss] + [gm.param_grads[n] for n in ("b", "p", "q")]
+
+
+class TestSinkOwnership:
+    """A sink entry copies a frame's value and adds to its own copy, so a
+    later contribution never changes the value the frame returned."""
+
+    @pytest.mark.parametrize("instances", [1, 4])
+    def test_first_contribution_is_a_frames_returned_value(self, instances):
+        # One instance: F__grad's group holds 2 frames and runs its compiled
+        # segment. Four: it holds 8 and runs batched.
+        fg, fetches = _two_site_sum()
+        pq = [(0.3 * i - 0.5, 0.2 - 0.4 * i) for i in range(instances)]
+        b = 0.25
+        feeds = [{"p": Tensor.scalar(p), "q": Tensor.scalar(q)} for p, q in pq]
+        got = run_batch(fg, feeds, fetches, RunOptions(), {"b": Tensor.scalar(b)})
+        compiled = fg.bodies["F__grad"].compiled
+        assert all(c is None for c in compiled) == (instances == 4)
+        for (p, q), res in zip(pq, got):
+            assert res.frames["F__grad"] == 2
+            for v in res.values:
+                assert isinstance(v, Tensor) and not v.a.flags.writeable
+            loss, db, dp, dq = (v.item() for v in res.values)
+            tp, tq = np.tanh(p + b), np.tanh(q + b)
+            assert loss == pytest.approx(tp + 2 * tq, rel=1e-12)
+            assert dp == pytest.approx(1 - tp**2, rel=1e-12)
+            assert dq == pytest.approx(2 * (1 - tq**2), rel=1e-12)
+            assert db == pytest.approx(dp + dq, rel=1e-12)
 
 
 def _member_loop_only(fg):

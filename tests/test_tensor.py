@@ -20,15 +20,19 @@ def rng(seed=0):
 
 
 def kernel(kind, *operands, payload=None):
-    """The compiled kernel of one `kind` node applied to `operands`.
+    """The compiled kernel of one `kind` node applied to `operands`, as a
+    tensor.
 
     Building the node checks the operand shapes, as it does for any graph;
-    a kernel's own errors propagate unwrapped.
+    a kernel's own errors propagate unwrapped. Kernels read and return the
+    read-only arrays that frames hold, as a run's frames do.
     """
     g = Graph()
     node = g.add_node(kind, [g.constant(x) for x in operands], payload=payload)
     fns, _, _, _ = kernels.compile_body(g)
-    return fns[node.id](list(operands))
+    out = fns[node.id]([x.a for x in operands])
+    assert not out.flags.writeable
+    return Tensor._wrap(out)
 
 
 def matmul(a, b):
@@ -142,38 +146,38 @@ class TestConcatRows:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_classes(self):
-        loss, grad = tensor.softmax_cross_entropy(Tensor.from_rows([[3.0, 3.0]]), 0)
+        loss, grad = tensor.softmax_cross_entropy(np.array([[3.0, 3.0]]), 0)
         assert abs(loss - math.log(2)) < 1e-15
-        assert np.allclose(grad.a, [[-0.5, 0.5]], atol=1e-15)
+        assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-15)
 
     def test_huge_logit_is_stable(self):
-        loss, grad = tensor.softmax_cross_entropy(Tensor.from_rows([[1000.0, 0.0]]), 0)
+        loss, grad = tensor.softmax_cross_entropy(np.array([[1000.0, 0.0]]), 0)
         assert math.isfinite(loss) and loss < 1e-12
-        assert np.isfinite(grad.a).all()
+        assert np.isfinite(grad).all()
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            tensor.softmax_cross_entropy(Tensor.from_rows([[0.0, 0.0]]), 2)
+            tensor.softmax_cross_entropy(np.zeros((1, 2)), 2)
         with pytest.raises(IndexError):
-            tensor.softmax_cross_entropy(Tensor.from_rows([[0.0, 0.0]]), -1)
+            tensor.softmax_cross_entropy(np.zeros((1, 2)), -1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_central_differences(self, seed):
         r = rng(100 + seed)
         c = int(r.integers(2, 11))
-        logits = tensor.random_init((1, c), 3.0, r)
+        logits = tensor.random_init((1, c), 3.0, r).a
         label = int(r.integers(0, c))
         _, grad = tensor.softmax_cross_entropy(logits, label)
         h = 1e-6
         for j in range(c):
-            up = logits.a.copy()
-            dn = logits.a.copy()
+            up = logits.copy()
+            dn = logits.copy()
             up[0, j] += h
             dn[0, j] -= h
-            lp, _ = tensor.softmax_cross_entropy(Tensor.from_array(up), label)
-            lm, _ = tensor.softmax_cross_entropy(Tensor.from_array(dn), label)
+            lp, _ = tensor.softmax_cross_entropy(up, label)
+            lm, _ = tensor.softmax_cross_entropy(dn, label)
             fd = (lp - lm) / (2 * h)
-            assert abs(fd - grad.a[0, j]) <= 1e-6 * max(1.0, abs(fd))
+            assert abs(fd - grad[0, j]) <= 1e-6 * max(1.0, abs(fd))
 
 
 class TestGatherRow:
@@ -219,14 +223,14 @@ class TestRandomInit:
 
 class TestIndexValue:
     def test_exact_and_near_integers(self):
-        assert tensor.index_value(Tensor.scalar(4.0)) == 4
-        assert tensor.index_value(Tensor.scalar(4.0 + 1e-12)) == 4
+        assert tensor.index_of(np.array([[4.0]])) == 4
+        assert tensor.index_of(np.array([[4.0 + 1e-12]])) == 4
 
     def test_rejects_non_integral(self):
         with pytest.raises(ValueError):
-            tensor.index_value(Tensor.scalar(4.5))
+            tensor.index_of(np.array([[4.5]]))
         with pytest.raises(ValueError):
-            tensor.index_value(Tensor.scalar(4.0 + 1e-8))
+            tensor.index_of(np.array([[4.0 + 1e-8]]))
 
 
 @st.composite
