@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import TreeInstance, generate_synthetic
 from .executor import RunOptions, run_batch
-from .models import BuiltModel, ModelConfig, build_iterative, build_recursive, init_params, make_feeds
+from .models import BuiltModel, ModelConfig, build_model, init_params, make_feeds
 
 log = logging.getLogger("rdg.bench")
 
@@ -82,15 +82,6 @@ def write_trace_csv(path: str | Path, trace: list) -> None:
         w.writerow(("timestamp_us", "worker_id", "key", "node_id", "op_kind"))
         for row in trace:
             w.writerow(row)
-
-
-def _build(kind: str, mode: str, d: int, vocab: int, capacity: int) -> BuiltModel:
-    cfg = ModelConfig(kind, d=d, vocab=vocab, classes=2)
-    if mode == "recursive":
-        return build_recursive(cfg)
-    if mode == "iterative":
-        return build_iterative(cfg, capacity=capacity)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _measure(
@@ -156,7 +147,7 @@ def bench_balancedness(
         for shape in SHAPES
     }
     for mode in modes:
-        model = _build(kind, mode, d, vocab, capacity)
+        model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, capacity)
         params = init_params(model.config, seed=seed)
         for shape in SHAPES:
             for batch in batches:
@@ -192,7 +183,7 @@ def bench_scaling(
             raise ValueError(f"size {n_nodes} is not a full balanced tree")
         trees = [generate_synthetic("balanced", leaves, vocab - 2, 2, rng) for _ in range(5)]
         for mode in modes:
-            model = _build(kind, mode, d, vocab, capacity=n_nodes)
+            model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, n_nodes)
             params = init_params(model.config, seed=seed)
             times = _measure(model, trees, params, 1, threads, warmup, runs)
             row = _row(kind, mode, "scaling", f"balanced-{n_nodes}", 1, threads, times)
@@ -221,7 +212,7 @@ def bench_threads(
     trees = [generate_synthetic(shape, leaves, vocab - 2, 2, rng) for _ in range(5)]
     rows = []
     for mode in modes:
-        model = _build(kind, mode, d, vocab, capacity)
+        model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, capacity)
         params = init_params(model.config, seed=seed)
         for threads in thread_counts:
             times = _measure(model, trees, params, 1, threads, warmup, runs)

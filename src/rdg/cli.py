@@ -25,7 +25,7 @@ from .models import (
     MODEL_KINDS,
     CapacityError,
     ModelConfig,
-    build_iterative,
+    build_model,
     build_recursive,
     init_params,
     load_checkpoint,
@@ -35,8 +35,7 @@ from .models import (
 from .trainer import (
     TrainConfig,
     TrainingDiverged,
-    evaluate,
-    predictions,
+    infer,
     train,
     write_metrics_csv,
 )
@@ -44,15 +43,6 @@ from .trainer import (
 log = logging.getLogger("rdg.cli")
 
 BUNDLED_CORPUS = Path(__file__).parent / "corpora" / "mini_reviews.txt"
-
-
-def _build_model(kind: str, mode: str, d: int, vocab_size: int, classes: int,
-                 per_node_loss: bool, capacity: int):
-    cfg = ModelConfig(kind, d=d, vocab=vocab_size, classes=classes,
-                      per_node_loss=per_node_loss)
-    if mode == "recursive":
-        return build_recursive(cfg)
-    return build_iterative(cfg, capacity=capacity)
 
 
 def cmd_train(args) -> int:
@@ -64,8 +54,11 @@ def cmd_train(args) -> int:
     val = load_corpus(args.val, vocab, grow=True) if args.val else None
     classes = max(max(t.labels) for t in corpus) + 1
     capacity = args.capacity or max(t.n_nodes for t in corpus + (val or []))
-    model = _build_model(args.model, args.mode, args.hidden, vocab.size, classes,
-                         args.per_node_loss, capacity)
+    model = build_model(
+        ModelConfig(args.model, d=args.hidden, vocab=vocab.size, classes=classes,
+                    per_node_loss=args.per_node_loss),
+        args.mode, capacity,
+    )
     params = init_params(model.config, seed=args.seed, scale=args.init_scale)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch, lr=args.lr, l2=args.l2,
@@ -112,12 +105,9 @@ def cmd_infer(args) -> int:
     if not corpus:
         log.error("corpus %s is empty", args.data)
         return 1
-    capacity = max(t.n_nodes for t in corpus)
-    model = (build_recursive(cfg) if args.mode == "recursive"
-             else build_iterative(cfg, capacity=capacity))
+    model = build_model(cfg, args.mode, max(t.n_nodes for t in corpus))
     try:
-        preds = predictions(model, params, corpus, threads=args.threads)
-        metrics = evaluate(model, params, corpus, threads=args.threads)
+        preds, metrics = infer(model, params, corpus, threads=args.threads)
     except (ExecutionError, CapacityError) as e:
         log.error("%s", e)
         return 1

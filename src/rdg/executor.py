@@ -42,12 +42,13 @@ counts down dependents, expands control nodes, adds to the gradient sinks,
 and returns finished frames to their parents. Only kernel computation is
 handed out: with more than one thread, the members of a wave whose
 estimated work outweighs a thread handoff (large matrix products, stalls)
-are shared among the run's worker threads, which start the first time a
-segment needs them. Smaller kernels run where they are, since they hold the
-interpreter lock throughout. Group
-composition and order follow from the graph and the inputs alone, never
-from which worker finished first, so results are bit-identical for every
-thread count.
+are submitted to the run's `ThreadPoolExecutor`, made on the first such wave
+and shut down when the run ends; the scheduler thread computes the first
+member and any that no worker has started. Smaller kernels run where they
+are, since they hold the interpreter lock throughout. Trace rows from every
+thread go to one list. Group composition and order follow from the graph
+and the inputs alone, never from which worker finished first, so results
+are bit-identical for every thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
 join the next round. What a call node fixes for every frame it creates on
@@ -92,13 +93,12 @@ results stay bit-identical for every thread count.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from operator import itemgetter
-from queue import Empty, SimpleQueue
 
 import numpy as np
 
@@ -107,7 +107,8 @@ from .kernels import compile_segment, sink_put
 from .tensor import Tensor
 
 _PENDING = object()
-_STOP = object()
+# The name prefix of a run's worker threads.
+_POOL_PREFIX = "rdg-pool"
 # Groups of fewer frames run frame by frame. Measured on d=16 models:
 # - a batch of k linear trees, whose every group holds k frames, ran batched
 #   at 1.08-1.32x the per-frame time for k=2, 0.77-1.01x for k=4 and
@@ -140,7 +141,7 @@ class RunOptions:
       so the default admits linear trees of up to 511 leaves.
     - `debug`: check that each unit's inputs are resolved before it runs.
     - `instrument`: record `RunResult.peak_concurrency`.
-    - `trace`: record `RunResult.trace`, as the environment's `RDG_TRACE=1` does.
+    - `trace`: record `RunResult.trace`.
     - `timeout_s`: the most wall-clock seconds a run may take.
     """
 
@@ -233,8 +234,8 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "g", "top", "opts", "lock", "error", "watched", "open", "ready", "queue", "workers",
-        "in_flight", "peak", "traces", "tracing",
+        "g", "top", "opts", "lock", "error", "watched", "open", "ready", "pool", "in_flight",
+        "peak", "trace", "tracing",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
@@ -248,13 +249,11 @@ class _RunState:
         # (body, unit) -> frames ready there for the next round, in the
         # order the scheduler thread readied them
         self.ready: dict = {}
-        self.queue: SimpleQueue = SimpleQueue()
-        self.workers: list[threading.Thread] = []
+        self.pool: ThreadPoolExecutor | None = None  # started on the first offload
         self.in_flight = 0
         self.peak = 0
-        self.tracing = opts.trace or os.environ.get("RDG_TRACE") == "1"
-        # trace rows per thread, each appended to by its thread only
-        self.traces: list[list] = [[] for _ in range(opts.threads)] if self.tracing else []
+        self.tracing = opts.trace
+        self.trace: list = []  # rows from every thread; `extend` holds the interpreter lock
 
     def fail(self, exc: BaseException, frame: _Frame, nid: int):
         if self.error is None:
@@ -263,7 +262,7 @@ class _RunState:
     def record(self, wid: int, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
-        self.traces[wid].extend([(ts, wid, f.path, nid, label) for f in frames])
+        self.trace.extend([(ts, wid, f.path, nid, label) for f in frames])
 
 
 def _op_label(body, nid: int) -> str:
@@ -782,40 +781,28 @@ def _run_members(state: _RunState, body, waves, frames, stacks):
     return None
 
 
-def _worker(state: _RunState, wid: int):
-    for task, results, i, done in iter(state.queue.get, _STOP):
-        results[i] = _compute(state, *task, wid)
-        done.release()
+_WORKER = threading.local()  # `id`: a pool thread's worker id in trace rows
+
+
+def _offloaded(state: _RunState, body, nid: int, frames, stacks):
+    return _compute(state, body, nid, frames, stacks, _WORKER.id)
 
 
 def _compute_all(state: _RunState, tasks: list) -> list:
     """Run (body, node, frames, stacks) members at once, spread over the
-    run's threads, which start the first time a segment needs them; returns
-    their `_compute` results in order."""
-    if not state.workers:
-        state.workers = [
-            threading.Thread(target=_worker, args=(state, w), daemon=True)
-            for w in range(1, state.opts.threads)
-        ]
-        for t in state.workers:
-            t.start()
-    results = [None] * len(tasks)
-    done = threading.Semaphore(0)
-    q = state.queue
-    for i in range(1, len(tasks)):
-        q.put((tasks[i], results, i, done))
-    results[0] = _compute(state, *tasks[0], 0)
-    done.release()
-    while True:  # help with whatever no worker has picked up yet
-        try:
-            task, _, i, _ = q.get_nowait()
-        except Empty:
-            break
-        results[i] = _compute(state, *task, 0)
-        done.release()
-    for _ in tasks:
-        done.acquire()
-    return results
+    run's pool, started on the first call; returns their `_compute` results
+    in order. A task that no worker has started yet runs here."""
+    if state.pool is None:
+        ids = count(1)
+        state.pool = ThreadPoolExecutor(
+            state.opts.threads - 1, _POOL_PREFIX,
+            initializer=lambda: setattr(_WORKER, "id", next(ids)),
+        )
+    futures = [state.pool.submit(_offloaded, state, *t) for t in tasks[1:]]
+    results = [_compute(state, *tasks[0], 0)]
+    for f, task in zip(futures, tasks[1:]):
+        results.append(_compute(state, *task, 0) if f.cancel() else f)
+    return [r.result() if isinstance(r, Future) else r for r in results]
 
 
 def _run_compiled(state: _RunState, body, u: int, seg, frames):
@@ -999,15 +986,14 @@ def run_batch(
                 raise ExecutionError(f"run timed out after {opts.timeout_s}s")
             _round(state)
     finally:
-        for _ in state.workers:
-            state.queue.put(_STOP)
-        for t in state.workers:
-            t.join()
+        if state.pool is not None:
+            state.pool.shutdown(cancel_futures=True)
     if state.error is not None:
         exc, key, nid, kind = state.error
         raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
-    traces = [t for t in state.traces if t]  # each already in time order
-    trace = traces[0] if len(traces) == 1 else sorted(chain(*traces), key=itemgetter(0, 1))
+    trace = state.trace
+    if state.pool is not None:  # each thread's rows are in time order, not their mix
+        trace.sort(key=itemgetter(0, 1))
     results = []
     for frame in tops:
         values = frame.values

@@ -88,10 +88,22 @@ class RowGrads:
             raise ValueError("row-gradient shapes differ")
         return RowGrads(self.rows, self.cols, self.entries + other.entries)
 
+    def sums(self, start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """The touched row indices, ascending, and each one's sum: `start`
+        plus its entries, added one at a time in arrival order."""
+        idx = np.fromiter((i for i, _ in self.entries), np.intp, len(self.entries))
+        touched, where = np.unique(idx, return_inverse=True)
+        out = np.full((len(touched), self.cols), start)
+        if self.entries:
+            flat = (where[:, None] * self.cols + np.arange(self.cols)).ravel()
+            rows = np.concatenate([row for _, row in self.entries])
+            np.add.at(out.reshape(-1), flat, rows.reshape(-1))  # 1-D: numpy's fast path
+        return touched, out
+
     def to_dense(self) -> Tensor:
         out = np.zeros((self.rows, self.cols))
-        for i, row in self.entries:
-            out[i] += row[0]
+        touched, sums = self.sums()
+        out[touched] = sums
         return Tensor._wrap(out)
 
 

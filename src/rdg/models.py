@@ -306,6 +306,15 @@ def build_iterative(cfg: ModelConfig, capacity: int) -> BuiltModel:
     )
 
 
+def build_model(cfg: ModelConfig, mode: str, capacity: int) -> BuiltModel:
+    """`cfg`'s model in `mode`: recursive, or iterative unrolled to `capacity` nodes."""
+    if mode == "recursive":
+        return build_recursive(cfg)
+    if mode == "iterative":
+        return build_iterative(cfg, capacity=capacity)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 # -- feeds -----------------------------------------------------------------
 
 

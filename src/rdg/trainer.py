@@ -51,7 +51,6 @@ class TrainConfig:
     l2: float = 0.0
     threads: int = 1
     seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -60,8 +59,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.lr < 0 or self.l2 < 0:
             raise ValueError("lr and l2 must be >= 0")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,17 +124,13 @@ def adagrad_update(
                     f"gradient for {name!r} is {g.rows}x{g.cols}, "
                     f"parameter is {p.rows}x{p.cols}"
                 )
-            by_row: dict[int, np.ndarray] = {}
-            for i, row in g.entries:
-                if i in by_row:
-                    by_row[i] = by_row[i] + row[0]
-                else:
-                    by_row[i] = row[0]
+            # -0.0 + x is x for every x, so each row sums its entries alone,
+            # first-seen first; a +0.0 start would turn a sum of -0.0s into +0.0
+            touched, grow = g.sums(-0.0)
             s = state[name]
+            s[touched] += grow * grow
             arr = p.a.copy()
-            for i, grow in by_row.items():
-                s[i] += grow * grow
-                arr[i] -= lr * grow / (np.sqrt(s[i]) + ADAGRAD_EPS)
+            arr[touched] -= lr * grow / (np.sqrt(s[touched]) + ADAGRAD_EPS)
             params[name] = Tensor._wrap(arr)
             continue
         ga = _dense_arr(g)
@@ -204,9 +197,8 @@ def train(
     instances as one `run_batch`, sum gradients in batch order, update.
     Metrics report the epoch's mean training loss and accuracy over the
     instances as trained — except when `val_corpus` is given, in which case
-    accuracy is measured on it every `cfg.eval_every` epochs (staler epochs
-    repeat the last value). Raises TrainingDiverged with the failing step
-    index on non-finite loss.
+    accuracy is measured on it after every epoch. Raises TrainingDiverged
+    with the failing step index on non-finite loss.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -216,7 +208,6 @@ def train(
     opts = RunOptions(threads=cfg.threads)
     history: list[Metrics] = []
     step = 0
-    val_acc: float | None = None
     fetches = [gm.loss, prediction] + [gm.param_grads[n] for n in gm.param_order]
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(corpus))
@@ -243,12 +234,9 @@ def train(
         wall = time.monotonic() - t0
         accuracy = correct / len(order)
         if val_corpus is not None:
-            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1 or val_acc is None:
-                val_acc = evaluate(
-                    model, params, val_corpus, threads=cfg.threads,
-                    batch_size=cfg.batch_size,
-                ).accuracy
-            accuracy = val_acc
+            accuracy = evaluate(
+                model, params, val_corpus, threads=cfg.threads, batch_size=cfg.batch_size,
+            ).accuracy
         m = Metrics(
             epoch=epoch,
             wall_time_s=wall,
@@ -266,17 +254,37 @@ def train(
     return history
 
 
-def _forward(model, params, corpus, threads: int, batch_size: int) -> list:
-    """(loss, predicted class) per instance, in corpus order."""
+def infer(
+    model: BuiltModel,
+    params: dict[str, Tensor],
+    corpus: list[TreeInstance],
+    threads: int = 1,
+    batch_size: int = 25,
+) -> tuple[list[int], Metrics]:
+    """One forward-only pass over `corpus`: the predicted root class per
+    instance, in corpus order, and the pass's root accuracy, mean loss and
+    throughput."""
+    if not corpus:
+        raise ValueError("corpus is empty")
     opts = RunOptions(threads=threads)
-    out = []
+    losses, preds = [], []
+    t0 = time.monotonic()
     for batch in _batches(corpus, batch_size):
         for res in run_batch(
             model.graph, [make_feeds(model, t) for t in batch],
             [model.loss, model.prediction], opts, params,
         ):
-            out.append((res.values[0].item(), int(np.argmax(res.values[1].a))))
-    return out
+            losses.append(res.values[0].item())
+            preds.append(int(np.argmax(res.values[1].a)))
+    wall = time.monotonic() - t0
+    correct = sum(pred == tree.labels[tree.root] for pred, tree in zip(preds, corpus))
+    return preds, Metrics(
+        epoch=0,
+        wall_time_s=wall,
+        instances_per_s=len(corpus) / wall if wall > 0 else 0.0,
+        loss_mean=sum(losses) / len(corpus),
+        accuracy=correct / len(corpus),
+    )
 
 
 def evaluate(
@@ -287,21 +295,7 @@ def evaluate(
     batch_size: int = 25,
 ) -> Metrics:
     """Forward-only pass over `corpus`: root accuracy, mean loss, throughput."""
-    if not corpus:
-        raise ValueError("corpus is empty")
-    t0 = time.monotonic()
-    results = _forward(model, params, corpus, threads, batch_size)
-    wall = time.monotonic() - t0
-    correct = sum(
-        pred == tree.labels[tree.root] for (_, pred), tree in zip(results, corpus)
-    )
-    return Metrics(
-        epoch=0,
-        wall_time_s=wall,
-        instances_per_s=len(corpus) / wall if wall > 0 else 0.0,
-        loss_mean=sum(loss for loss, _ in results) / len(corpus),
-        accuracy=correct / len(corpus),
-    )
+    return infer(model, params, corpus, threads, batch_size)[1]
 
 
 def predictions(
@@ -312,7 +306,7 @@ def predictions(
     batch_size: int = 25,
 ) -> list[int]:
     """Predicted root class per instance, in corpus order."""
-    return [pred for _, pred in _forward(model, params, corpus, threads, batch_size)]
+    return infer(model, params, corpus, threads, batch_size)[0]
 
 
 # -- gradient checking -------------------------------------------------------

@@ -932,19 +932,20 @@ class TestStop:
     @pytest.fixture
     def workers(self, monkeypatch):
         started = []
-        worker = executor._worker
+        start = threading.Thread.start
 
-        def counted(state, wid):
-            started.append(wid)
-            worker(state, wid)
+        def counted(t):
+            if t.name.startswith(executor._POOL_PREFIX):
+                started.append(t)
+            start(t)
 
-        monkeypatch.setattr(executor, "_worker", counted)
+        monkeypatch.setattr(threading.Thread, "start", counted)
         before = set(threading.enumerate())
         yield started
         after = set(threading.enumerate())
         assert started  # the stalls were offloaded
         assert after <= before
-        assert not [t for t in after if "_worker" in t.name]
+        assert not [t for t in started if t.is_alive()]
 
     def test_timeout_stops_the_run(self, workers):
         fg, y = _stalling_countdown(0.02)
@@ -1066,4 +1067,11 @@ class TestTrace:
         g, x, y = build_countdown()
         fg = g.finalize()
         res = run(fg, {"x": Tensor.scalar(3.0)}, [y])
+        assert res.trace == []
+
+    def test_environment_does_not_turn_tracing_on(self, monkeypatch):
+        # only the CLI reads RDG_TRACE; a library run traces when asked to
+        monkeypatch.setenv("RDG_TRACE", "1")
+        g, x, y = build_countdown()
+        res = run(g.finalize(), {"x": Tensor.scalar(3.0)}, [y])
         assert res.trace == []

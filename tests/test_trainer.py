@@ -98,6 +98,40 @@ class TestAdaGrad:
         assert (state["E"] > 0).all()
         assert (params["E"].a < 1.0).all()
 
+    def test_sparse_update_matches_a_row_by_row_loop_bit_for_bit(self):
+        def loop_update(arr, s, g, lr):  # sum each row first-seen-first, then update
+            by_row = {}
+            for i, row in g.entries:
+                by_row[i] = by_row[i] + row[0] if i in by_row else row[0]
+            arr = arr.copy()
+            for i, grow in by_row.items():
+                s[i] += grow * grow
+                arr[i] -= lr * grow / (np.sqrt(s[i]) + ADAGRAD_EPS)
+            return arr
+
+        def loop_dense(g):
+            out = np.zeros((g.rows, g.cols))
+            for i, row in g.entries:
+                out[i] += row[0]
+            return out
+
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, 9, size=200)  # 200 entries on at most 9 of 12 rows
+        vals = rng.standard_normal((200, 1, 5)) * 10.0 ** rng.integers(-8, 8, (200, 1, 1))
+        vals[rows == 4] = -0.0  # a row whose every contribution is a negative zero
+        g = RowGrads(12, 5, tuple(zip(rows.tolist(), vals)))
+        assert g.to_dense().a.tobytes() == loop_dense(g).tobytes()
+        start = rng.standard_normal((12, 5))
+        start[4, :2] = -0.0
+        params = {"E": Tensor.from_array(start)}
+        state = adagrad_init(params)
+        want, want_s = start, np.zeros((12, 5))
+        for _ in range(3):
+            adagrad_update(params, {"E": g}, state, lr=0.07)
+            want = loop_update(want, want_s, g, 0.07)
+            assert params["E"].a.tobytes() == want.tobytes()
+            assert state["E"].tobytes() == want_s.tobytes()
+
 
 class TestGradientSummation:
     def test_dense_linearity(self):
