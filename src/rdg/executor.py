@@ -11,12 +11,26 @@ frames whose children returned together. A segment runs for its group in
 one call, member by member in waves of independent members. From
 `_BATCH_MIN` frames up each member runs as one stacked numpy kernel over the
 k per-frame values (the batched variants in `kernels.py`), and its result
-stays one read-only stack; frames hold slices of it only where something
-outside the segment reads it. Smaller groups run it frame by frame.
+stays one read-only stack. Smaller groups run it frame by frame.
 Independent subtrees thus cost one call per segment and level rather than
 one per node and frame, which is how the recursive form turns a wide
 frontier into less work even where a global interpreter lock serialises
 small numpy ops.
+
+Batched values stay in their stacks. After a batched segment, the stacks of
+the members that something outside it reads (`exposed`) stay on a group
+record, a dict from node id to stack, and each frame keeps the record and
+its row in two slots after its node slots (`CompiledBody.row_slot`); the
+member's own slot stays pending. A call's argument or output copied from a
+stack keeps that stack and row the same way, and a gradient frame reads a
+forward value that lies in a stack through its forward frame (`fwd`). So a
+batched consumer reads such a value as one slice, or one take per stack,
+with where each frame's row lies found once per group and slot pair
+(`_gather`), a cond compares its group's predicates at once, and a
+`gather_row` from per-instance tables indexes the run's tables, joined once,
+by (instance, row) (`kernels.Tables`). Only a consumer that runs frame by
+frame makes a frame hold a row (`_unstack`, `_value`): per-frame kernels,
+compiled segments of small groups, and fetches.
 
 A group under `_BATCH_MIN` frames runs its segment as one generated function
 per frame (`kernels.compile_segment`, made on the segment's first such group
@@ -71,10 +85,11 @@ In a differentiated graph, a forward frame records the child frame of each
 call site that a gradient call mirrors. That gradient call pops the child
 from its parent's record (the top frame's, or the one the parent took over
 from its forward frame): the child's values fill the new frame's forward-value
-slots, a cond gradient runs the branch the child ran, and the new frame takes
-over the child's record. One call site below its parent, at the child's site,
-it has the child's depth and key. A completed recorded frame keeps only the
-values its gradient reads, and is freed once that gradient frame exists.
+slots (those that lie in stacks are read through the child instead), a cond
+gradient runs the branch the child ran, and the new frame takes over the
+child's record. One call site below its parent, at the child's site, it has
+the child's depth and key. A completed recorded frame is freed once that
+gradient frame exists and no longer reads it.
 
 Each instance also holds a gradient sink: `sink_add` nodes add every
 gradient contribution to a top-level node (a parameter a body captures, say)
@@ -86,9 +101,11 @@ frames permuted so that each instance's are contiguous, and adds one partial
 to each instance's entry. A parameter gradient's outer product that only
 the sink reads is fused into it: the sink sums the product over each
 instance's frames as one gemm of the stacked operands, so no frame's product
-is ever formed. Smaller groups add frame by frame, a fused product straight
-from its operands. The summation order follows from the group alone, so
-results stay bit-identical for every thread count.
+is ever formed. A `scatter_row` that only the sink reads is fused the same
+way: the sink adds one row gradient per instance, its rows from that
+instance's contiguous frames. Smaller groups add frame by frame, a fused
+product straight from its operands. The summation order follows from the
+group alone, so results stay bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -97,13 +114,13 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import chain, count, groupby
 from operator import itemgetter
 
 import numpy as np
 
-from .graph import FinalizedGraph, NodeHandle, Shape
-from .kernels import compile_segment, sink_put
+from .graph import FinalizedGraph, NodeHandle, RowGrads, Shape
+from .kernels import Tables, bscatter, compile_segment, sink_put
 from .tensor import Tensor
 
 _PENDING = object()
@@ -122,8 +139,19 @@ _BATCH_MIN = 8
 # handoff costs more than the kernel, which holds the interpreter lock
 # throughout anyway.
 _OFFLOAD_WORK = float(1 << 20)
-# The key under which a batched group's `stacks` caches `_by_instance`.
+# Frames whose values lie in a few runs of one stack each are gathered run by
+# run; past `_RUNS_MAX` runs, from `_TAKE_MIN` frames up, by one take per
+# stack, and fewer are stacked row by row. Rows of 16x1 values from two
+# interleaved stacks took 20 us by takes and 7 us stacked for 10 frames, 30
+# and 25 us for 40, and 60 and 108 us for 200.
+_RUNS_MAX = 4
+_TAKE_MIN = 32
+# The keys under which a batched group's `stacks` caches `_by_instance`, its
+# frames' instance numbers and their forward frames; a `gather_row` table's
+# `Tables` are cached under (_WHICH, node id), and `_rows` under (body, slot).
 _BY_INSTANCE = -1
+_WHICH = -2
+_FWD = -3  # the group's frames' forward frames
 
 
 class ExecutionError(RuntimeError):
@@ -175,9 +203,10 @@ class _Instance:
     """One fed instance of a run: its gradient sink, counts and frame
     templates."""
 
-    __slots__ = ("sink", "frames", "fetch_remaining", "templates")
+    __slots__ = ("sink", "frames", "fetch_remaining", "templates", "n")
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n  # its position in the batch
         # top-level node id -> the sum of the gradient contributions so far;
         # a dense sum is a private array, added to in place
         self.sink = {}
@@ -190,24 +219,26 @@ class _Instance:
 
 class _Frame:
     __slots__ = (
-        "body", "values", "pending", "remaining", "parent", "return_node", "ret", "site",
-        "depth", "inst", "children", "path", "__weakref__",
+        "body", "values", "remaining", "parent", "return_node", "ret", "site",
+        "depth", "inst", "children", "fwd", "path", "__weakref__",
     )
 
     def __init__(self, body, values, parent, return_node, ret, site, depth, inst):
         self.body = body
         self.values = values
-        self.pending = body.pending0.copy()
         self.remaining = body.completion_total
         self.parent = parent
         self.return_node = return_node
-        self.ret = ret  # (parent's node id, own output node id) per output
+        # per output: the parent's node id, its own, and their `row_slot`s
+        # (its own, then the parent's)
+        self.ret = ret
         self.site = site  # the forward call site, for a gradient frame too
         self.depth = depth
         self.inst = inst
         # call site -> the child frame a gradient call will pop; a gradient
         # frame holds the record of the forward frame it mirrors
         self.children = {} if body.recorded else None
+        self.fwd = None  # a gradient frame's forward frame, whose values it reads
         self.path = None  # the key, built from the parent's when tracing
 
 
@@ -225,8 +256,10 @@ def _key_str(f: _Frame) -> str:
 
 
 def _template(body) -> list:
-    """A new frame's values: constants set, everything else pending."""
-    values = [_PENDING] * body.n_nodes
+    """A new frame's values: constants set, everything else pending; then
+    where values that lie in stacks are (see `CompiledBody.row_slot`); then,
+    per unit, how many units it still waits on (see `_settle`)."""
+    values = [_PENDING] * body.n_nodes + [None] * (body.pending_at - body.n_nodes) + body.pending0
     for nid, v in body.preset:
         values[nid] = v
     return values
@@ -235,7 +268,7 @@ def _template(body) -> list:
 class _RunState:
     __slots__ = (
         "g", "top", "opts", "lock", "error", "watched", "open", "ready", "pool", "in_flight",
-        "peak", "trace", "tracing",
+        "peak", "trace", "tracing", "stacked", "tops", "tables",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
@@ -254,6 +287,11 @@ class _RunState:
         self.peak = 0
         self.tracing = opts.trace
         self.trace: list = []  # rows from every thread; `extend` holds the interpreter lock
+        self.stacked = False  # whether a frame's value may lie in a group record
+        self.tops: list = []  # each instance's top frame
+        # top-level node id -> the instances' tables it holds, joined (see
+        # `_tables`)
+        self.tables: dict = {}
 
     def fail(self, exc: BaseException, frame: _Frame, nid: int):
         if self.error is None:
@@ -288,9 +326,8 @@ def _settle(state: _RunState, body, u: int, frames):
     Dependents whose last input this was join the next round. Frames whose
     outputs are now complete write them into the parent's result slots and
     settle the call's unit there, one group per (parent body, call node),
-    which may complete the parents in turn; a completed frame that a
-    gradient call will read keeps only the values that gradient reads.
-    Iterative, so deep call chains cannot exhaust the stack.
+    which may complete the parents in turn. Iterative, so deep call chains
+    cannot exhaust the stack.
     """
     ready = state.ready
     work = []
@@ -305,11 +342,12 @@ def _settle(state: _RunState, body, u: int, frames):
         completes = body.completion_mask[u]
         done = None
         if joint or completes:
+            base = body.pending_at
             for f in frames:
-                p = f.pending
+                p = f.values
                 for d in joint:
-                    p[d] -= 1
-                    if not p[d]:
+                    p[base + d] -= 1
+                    if not p[base + d]:
                         lst = ready.get((body, d))
                         if lst is None:
                             ready[(body, d)] = [f]
@@ -340,9 +378,7 @@ def _settle(state: _RunState, body, u: int, frames):
                 else:
                     parents.append(parent)
                 if f.return_node in parent.body.recorded:
-                    vals = f.values
-                    f.values = {i: vals[i] for i in f.body.keep}
-                    f.pending = f.parent = None
+                    f.parent = None
             for (pbody, rnode), parents in reversed(returns.items()):
                 work.append((pbody, pbody.unit_of[rnode], parents))
         if not work:
@@ -351,11 +387,55 @@ def _settle(state: _RunState, body, u: int, frames):
 
 
 def _return(f: _Frame):
-    """Write a completed frame's outputs into its parent's result slots."""
+    """Write a completed frame's outputs into its parent's result slots; an
+    output that lies in a stack as that stack and row (see `_ref`)."""
     pvals = f.parent.values
     vals = f.values
-    for i, o in f.ret:
-        pvals[i] = vals[o]
+    for i, o, r, c in f.ret:
+        x = vals[o]
+        if x is _PENDING:
+            h = vals[r] if r >= 0 else None
+            if h is not None:  # inline `_ref`: o lies in a stack
+                pvals[c] = h[o] if type(h) is dict else h
+                pvals[c + 1] = vals[r + 1]
+                continue
+            x = _ref(f, o)
+            if type(x) is tuple:
+                pvals[c], pvals[c + 1] = x
+                continue
+        pvals[i] = x
+
+
+def _ref(f: _Frame, i: int):
+    """Node i's value in frame f: the value, or (stack, row) if it lies in a
+    stack, or _PENDING if it is not resolved.
+
+    A pending value lies in a stack if the slot `row_slot` names holds what
+    holds it: a group record, whose stack of node i is meant, or the stack
+    itself; the next slot holds the row. A gradient frame's pending forward
+    value is its forward frame's.
+    """
+    x = f.values[i]
+    while x is _PENDING:
+        body = f.body
+        r = body.row_slot[i]
+        if r >= 0:
+            h = f.values[r]
+            if h is None:
+                return x
+            return h[i] if type(h) is dict else h, f.values[r + 1]
+        src = body.fwd_src[i]
+        if src < 0:
+            return x
+        f, i = f.fwd, src
+        x = f.values[i]
+    return x
+
+
+def _value(f: _Frame, i: int):
+    """Node i's value in frame f, a row of its stack if it lies in one."""
+    x = _ref(f, i)
+    return x[0][x[1]] if type(x) is tuple else x
 
 
 class _CallSite:
@@ -367,7 +447,8 @@ class _CallSite:
     first use (see `_call_site`)."""
 
     __slots__ = (
-        "name", "body", "shared", "own", "ret", "site", "fwd_site", "record", "untaken", "error",
+        "name", "body", "shared", "own", "ret", "site", "fwd_site", "fwd_units", "record",
+        "untaken", "error",
     )
 
     def __init__(self, g: FinalizedGraph, pbody, nid: int, branch: int):
@@ -403,10 +484,21 @@ class _CallSite:
                 f"(inputs plus captures), got {len(ids)}"
             )
         self.shared = [(slot, i) for slot, i in zip(slots, ids) if body.shared[slot]]
-        self.own = [(slot, i) for slot, i in zip(slots, ids) if not body.shared[slot]]
-        self.ret = tuple(zip(ret, body.outputs))
+        self.own = [
+            (slot, i, pbody.row_slot[i], body.row_slot[slot])
+            for slot, i in zip(slots, ids) if not body.shared[slot]
+        ]
+        self.ret = tuple((i, o, body.row_slot[o], pbody.row_slot[i]) for i, o in zip(ret, body.outputs))
         self.site = nid if self.fwd_site is None else self.fwd_site
         self.record = nid in pbody.recorded
+        # a gradient child's forward-value slots, by the forward body's row
+        # slot of their forward node (-1 outside a segment)
+        units: dict = {}
+        if body.fwd_slots:
+            rows = g.bodies[body.mirrors].row_slot
+            for slot, i in body.fwd_slots:
+                units.setdefault(rows[i], []).append((slot, i))
+        self.fwd_units = tuple((r, tuple(pairs)) for r, pairs in units.items())
 
 
 def _call_site(state: _RunState, pbody, nid: int, branch: int = 0) -> _CallSite:
@@ -435,12 +527,13 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
         state.fail(ExecutionError(s.error), parents[0], nid)
         return
     body = s.body
-    shared, own, ret, site, fwd_site = s.shared, s.own, s.ret, s.site, s.fwd_site
+    shared, own, ret, site, fwd_site, fwd_units = s.shared, s.own, s.ret, s.site, s.fwd_site, s.fwd_units
     limit = state.opts.max_recursion_depth
     if not ret:  # nothing returns into a call with no outputs: its node holds None
         for parent in parents:
             parent.values[nid] = None
     children = []
+    tracing = state.tracing
     counted = None  # the instance whose frames `count` children have not been added to
     count = 0
     for parent in parents:
@@ -453,16 +546,33 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
             return
         pvals = parent.values
         inst = parent.inst
-        template = inst.templates.get(body)
-        if template is None:
-            template = inst.templates[body] = _template(body)
-            for slot, i in shared:
-                template[slot] = pvals[i]
+        if inst is not counted:
+            if count:
+                counted.frames[s.name] = counted.frames.get(s.name, 0) + count
+            counted, count = inst, 0
+            template = inst.templates.get(body)
+            if template is None:
+                template = inst.templates[body] = _template(body)
+                for slot, i in shared:
+                    x = pvals[i]
+                    template[slot] = x if x is not _PENDING else _value(parent, i)
+        count += 1
         values = template.copy()
-        for slot, i in own:
-            values[slot] = pvals[i]
+        for slot, i, r, c in own:
+            x = pvals[i]
+            if x is _PENDING:
+                h = pvals[r] if r >= 0 else None
+                if h is not None:  # inline `_ref`: i lies in a stack
+                    values[c] = h[i] if type(h) is dict else h
+                    values[c + 1] = pvals[r + 1]
+                    continue
+                x = _ref(parent, i)
+                if type(x) is tuple:
+                    values[c], values[c + 1] = x
+                    continue
+            values[slot] = x
         child = _Frame(body, values, parent, nid, ret, site, depth, inst)
-        if state.tracing:
+        if tracing:
             child.path = f"{parent.path}/{site}" if parent.parent else str(site)
         if fwd_site is not None:
             fwd = (parent.children or {}).pop(fwd_site, None)
@@ -470,17 +580,17 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
                 msg = f"forward/backward mismatch: no forward frame for call site {site}"
                 state.fail(ExecutionError(msg), parent, nid)
                 return
-            for slot, i in body.fwd_slots:
-                values[slot] = fwd.values[i]
+            fv = fwd.values
+            for r, pairs in fwd_units:
+                if r < 0 or fv[r] is None:
+                    for slot, i in pairs:
+                        values[slot] = fv[i]
+                else:  # they lie in stacks: read through fwd
+                    child.fwd = fwd
             child.children = fwd.children
         elif s.record:
             parent.children[nid] = child
         children.append(child)
-        if inst is not counted:
-            if count:
-                counted.frames[s.name] = counted.frames.get(s.name, 0) + count
-            counted, count = inst, 0
-        count += 1
     counted.frames[s.name] = counted.frames.get(s.name, 0) + count
     ready = state.ready
     for r in body.initial_ready:
@@ -499,9 +609,23 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
 
 def _run_cond(state, body, nid, frames):
     pred = body.inputs[nid][0]
+    r = body.row_slot[pred]
     taken = ([], [])  # parents on the else / then branch
+    flags: dict = {}  # id of a stack's holder -> its predicates, compared at once
     for f in frames:
-        taken[abs(f.values[pred].item(0)) > 0.5].append(f)
+        v = f.values
+        x = v[pred]
+        if x is _PENDING:
+            h = v[r] if r >= 0 else None
+            if h is not None:  # it lies in a stack
+                got = flags.get(id(h))
+                if got is None:
+                    a = h[pred] if type(h) is dict else h
+                    got = flags[id(h)] = [abs(y) > 0.5 for y in a[:, 0, 0].tolist()]
+                taken[got[v[r + 1]]].append(f)
+                continue
+            x = _value(f, pred)
+        taken[abs(x.item(0)) > 0.5].append(f)
     if taken[1]:
         _spawn(state, _call_site(state, body, nid, 1), taken[1], nid)
     if taken[0] and state.error is None:
@@ -576,12 +700,132 @@ def _operands(body, ids, frames, stacks: dict) -> list:
             if body.run_wide[i] or (body.shared[i] and all(f.values[i] is v for f in frames)):
                 a = v  # one value for every frame
             else:
-                a = np.array([f.values[i] for f in frames])
-                if a.dtype != np.float64:
-                    raise ValueError(f"node {i}: cannot stack a missing value")
+                a = _gather(body, i, frames, stacks)
             stacks[i] = a
         ops.append(a)
     return ops
+
+
+def _tables(state: _RunState, body, i: int, frames, stacks: dict):
+    """A batched `gather_row`'s table, node i, which captures a top-level
+    node (one value per instance): the value if the run has one instance,
+    else `Tables` over the instances' values, joined once per run."""
+    if len(state.tops) == 1:
+        return frames[0].values[i]
+    t = stacks.get((_WHICH, i))
+    if t is None:
+        tid = body.nodes[i].payload.id
+        joined = state.tables.get(tid)
+        if joined is None:
+            tabs = [_value(top, tid) for top in state.tops]
+            sizes = np.array([len(x) for x in tabs])
+            joined = state.tables[tid] = (np.concatenate(tabs), np.cumsum(sizes) - sizes, sizes)
+        which = stacks.get(_WHICH)
+        if which is None:
+            which = stacks[_WHICH] = np.array([f.inst.n for f in frames])
+        rows, starts, sizes = joined
+        t = stacks[(_WHICH, i)] = Tables(rows, starts[which], sizes[which])
+    return t
+
+
+def _gather(body, i: int, frames, stacks: dict):
+    """Node i's values in a group's frames as one k-stack, ValueError if a
+    value is missing.
+
+    A member of another segment lies in the group records of the groups
+    that ran it, an argument or a call's output in the stack it was copied
+    from (see `_ref`), and a gradient frame's pending forward value in its
+    forward frame. Where the frames' rows lie is found once per group and
+    slot pair (`_rows`), and a node read from there is one slice or take per
+    stack. Values the frames hold as arrays are stacked anew.
+    """
+    x0 = frames[0].values[i]
+    if x0 is _PENDING:
+        r = body.row_slot[i]
+        if r >= 0:
+            where = _rows(body, r, frames, stacks)
+            if where is not None:
+                try:
+                    return _pick(where, i, len(frames))
+                except KeyError:  # some group ran node i frame by frame
+                    pass
+        elif body.fwd_src[i] >= 0:
+            fwds = stacks.get(_FWD)
+            if fwds is None:
+                fwds = stacks[_FWD] = [f.fwd for f in frames]
+            if None not in fwds:  # else some frames hold copies (see `_spawn`)
+                return _gather(fwds[0].body, body.fwd_src[i], fwds, stacks)
+    xs = [f.values[i] for f in frames]
+    if set(map(type, xs)) != {np.ndarray}:  # a mix: rows of stacks and arrays
+        xs = [x if x is not _PENDING else _value(f, i) for f, x in zip(frames, xs)]
+    return _restack(body, i, xs)
+
+
+def _restack(body, i: int, xs: list):
+    """A new stack of node i's per-frame arrays xs."""
+    a = np.array(xs)
+    if a.dtype != np.float64:
+        raise ValueError(f"node {i} of {body.label!r}: cannot stack a missing value")
+    return a
+
+
+def _rows(body, r: int, frames, stacks: dict):
+    """`_where` the frames' rows lie, from the holders and rows they keep in
+    slots r and r + 1, once per group; None if some frame has none."""
+    key = (body, r)
+    where = stacks.get(key, _PENDING)
+    if where is _PENDING:
+        vals = [f.values for f in frames]
+        where = stacks[key] = _where([v[r] for v in vals], [v[r + 1] for v in vals])
+    return where
+
+
+def _where(holders: list, rows: list):
+    """The frames' rows in their holders, as (holder, the frames' positions,
+    their rows) per run of frames that one holder serves, with positions
+    and consecutive rows as slices; or, past `_RUNS_MAX` runs, per holder,
+    with index arrays. None if some frame has no holder, or if fewer than
+    `_TAKE_MIN` frames would need index arrays (stacking their rows costs
+    less)."""
+    k = len(holders)
+    keys = list(map(id, holders))
+    runs = [k] if keys.count(keys[0]) == k else [len(list(g)) for _, g in groupby(keys)]
+    if len(runs) <= _RUNS_MAX:
+        where, s = [], 0
+        for n in runs:
+            h, rs = holders[s], rows if n == k else rows[s : s + n]
+            if h is None:
+                return None
+            r0 = rs[0]
+            where.append((h, slice(s, s + n), slice(r0, r0 + n) if rs == list(range(r0, r0 + n)) else rs))
+            s += n
+        return where
+    by = dict(zip(keys, holders))
+    if k < _TAKE_MIN or id(None) in by:
+        return None
+    keys_a, rows_a = np.array(keys), np.array(rows)
+    where = []
+    for key, h in by.items():
+        at = np.flatnonzero(keys_a == key)
+        where.append((h, at, rows_a[at]))
+    return where
+
+
+def _pick(where: list, i: int, k: int):
+    """A k-stack of node i's rows that `where` locates, in each holder: a
+    group record's stack of node i, or a stack."""
+    out = None
+    for h, at, rows in where:
+        a = h[i] if type(h) is dict else h
+        part = a[rows] if type(rows) is slice else a.take(rows, axis=0)
+        if len(where) == 1:
+            # contiguous, as numpy's products then sum in the same order as
+            # over a stack of the rows
+            return np.ascontiguousarray(part)
+        if out is None:
+            out = np.empty((k,) + part.shape[1:])
+        out[at] = part  # ValueError if the stacks' values differ in shape
+    return out
 
 
 def _stack(out, k: int):
@@ -594,11 +838,21 @@ def _stack(out, k: int):
     return out
 
 
-def _views(stack, k: int) -> list:
-    """Per-frame values of a checked batched result: read-only views of it."""
-    if stack.ndim == 2:  # every operand was shared: one value for all frames
-        return [stack] * k
-    return list(stack)
+def _keep(state: _RunState, body, u: int, frames, stacks: dict):
+    """After batched segment u ran for a group: keep the stacks of its
+    exposed members on a group record, and give each frame its row in it."""
+    rec = {}
+    for m in body.unit_exposed[u]:
+        a = stacks.get(m)
+        if a is not None:  # else it ran frame by frame, and the frames hold it
+            rec[m] = a if a.ndim == 3 else np.broadcast_to(a, (len(frames),) + a.shape)
+    if rec:
+        state.stacked = True
+        slot = body.n_nodes + 2 * u
+        for j, f in enumerate(frames):
+            v = f.values
+            v[slot] = rec
+            v[slot + 1] = j
 
 
 def _unresolved(body, u: int, frames):
@@ -609,7 +863,7 @@ def _unresolved(body, u: int, frames):
             if body.unit_of[i] == u:
                 continue
             for f in frames:
-                if f.values[i] is _PENDING:
+                if _ref(f, i) is _PENDING:
                     return ExecutionError(
                         f"scheduling bug: node {nid} ran before input {i} "
                         f"resolved at key {_key_str(f)}"
@@ -622,10 +876,10 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
     for the first frame that failed.
 
     In a batched pass (`stacks` is a dict, for groups of `_BATCH_MIN` frames
-    or more) a member with a batched variant runs once over stacked operands,
-    and frames get views of its result only where it is exposed. Otherwise,
-    or if the batched kernel raises, the per-frame kernel runs for each
-    frame, reading views of the members that stayed stacked.
+    or more) a member with a batched variant runs once over stacked operands
+    and its result stays in `stacks`. Otherwise, or if the batched kernel
+    raises, the per-frame kernel runs for each frame, once the frames hold
+    the rows of the inputs that lie in stacks.
     """
     if state.tracing:
         state.record(wid, body, nid, frames)
@@ -638,19 +892,22 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
     try:
         sink = body.sinks[nid]
         if sink is not None:
-            return _sink_add(body, nid, sink, frames, stacks)
+            return _sink_add(state, body, nid, sink, frames, stacks)
         batched = None if stacks is None else body.batched[nid]
         if batched is not None:
+            ids = body.inputs[nid]
             try:
-                out = _stack(batched(*_operands(body, body.inputs[nid], frames, stacks)), k)
-            except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
-                _unstack(body.inputs[nid], frames, stacks)
-            else:
-                stacks[nid] = out
-                if body.exposed[nid]:
-                    for f, v in zip(frames, _views(out, k)):
-                        f.values[nid] = v
+                t = ids[0]
+                if body.kinds[nid] == "gather_row" and body.shared[t] and not body.run_wide[t]:
+                    ops = [_tables(state, body, t, frames, stacks), *_operands(body, ids[1:], frames, stacks)]
+                else:
+                    ops = _operands(body, ids, frames, stacks)
+                stacks[nid] = _stack(batched(*ops), k)
                 return None
+            except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
+                pass
+        if stacks is not None or state.stacked:
+            _unstack(body, body.inputs[nid], frames, stacks)
         kernel = body.kernels[nid]
         for f in frames:
             try:
@@ -664,14 +921,26 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
                 state.in_flight -= k
 
 
-def _unstack(ids, frames, stacks):
-    """Give the frames views of those of nodes `ids` that stayed stacked, for
-    per-frame kernels that read them."""
-    k = len(frames)
+def _unstack(body, ids, frames, stacks):
+    """Give the frames, for per-frame kernels, the rows of those of nodes
+    `ids` that lie in stacks: this batched segment's (`stacks`), or those
+    `_ref` finds."""
     for i in ids:
-        if frames[0].values[i] is _PENDING:
-            for f, v in zip(frames, _views(stacks[i], k)):
-                f.values[i] = v
+        a = None if stacks is None else stacks.get(i)
+        r = body.row_slot[i]
+        for j, f in enumerate(frames):
+            v = f.values
+            if v[i] is not _PENDING:
+                continue
+            if a is not None:
+                v[i] = a[j] if a.ndim == 3 else a
+            elif r >= 0 and v[r] is not None:  # inline `_ref`
+                h = v[r]
+                v[i] = (h[i] if type(h) is dict else h)[v[r + 1]]
+            else:
+                x = _value(f, i)
+                if x is not _PENDING:
+                    v[i] = x
 
 
 def _by_instance(frames, stacks: dict):
@@ -697,19 +966,20 @@ def _by_instance(frames, stacks: dict):
     return got
 
 
-def _sink_add(body, nid: int, sink, frames, stacks):
+def _sink_add(state: _RunState, body, nid: int, sink, frames, stacks):
     """Sink member `nid`: add each frame's contribution to its instance's
     sink entry. None, or (exception, frame) for the first frame that failed.
 
     A batched pass reduces the stacked contributions once per instance, in
-    the group's frame order, and adds one partial per instance; a fused
-    product is summed per instance as one gemm over its stacked operands.
+    the group's frame order, and adds one partial per instance: a fused
+    product is summed per instance as one gemm over its stacked operands,
+    and a fused `scatter_row` becomes one row gradient per instance.
     Otherwise, for a source that is never dense (row gradients, a row
     table), or if some frame's contribution is missing or ragged, each frame
     adds its own, a fused one computed straight from its operands.
     Either way the summation order follows from the group alone.
     """
-    top_id, ids, product, swap, stacked = sink
+    top_id, ids, product, swap, stacked, table = sink
     if body.exposed[nid]:  # a top-level grad_out waits on it
         for f in frames:
             f.values[nid] = None
@@ -720,27 +990,39 @@ def _sink_add(body, nid: int, sink, frames, stacks):
                 a if a.ndim == 3 else np.broadcast_to(a, (k,) + a.shape)
                 for a in _operands(body, ids, frames, stacks)
             ]
+            if table is not None:
+                idx, rows = bscatter(*ops)
         except (AttributeError, ValueError):  # no gradient, or ragged rows
-            _unstack(ids, frames, stacks)
+            pass
         else:
             insts, perm, starts = _by_instance(frames, stacks)
-            if perm is not None:
-                ops = [a[perm] for a in ops]
-            if product is None:
-                parts = np.add.reduceat(ops[0], starts, axis=0)
+            ends = [*starts[1:], k]
+            if table is not None:
+                if perm is not None:
+                    idx, rows = idx[perm], rows[perm]
+                parts = [
+                    RowGrads.of(table.rows, table.cols, idx[s:e], rows[s:e])
+                    for s, e in zip(starts, ends)
+                ]
             else:
-                if swap:
-                    ops = [x.swapaxes(1, 2) for x in ops]
-                r = ops[0].shape[1]  # rows each frame contributes to A and B
-                a, b = [x.reshape(k * r, x.shape[2]) for x in ops]
-                ends = [*starts[1:], k]
-                parts = [a[s * r : e * r].T @ b[s * r : e * r] for s, e in zip(starts, ends)]
+                if perm is not None:
+                    ops = [a[perm] for a in ops]
+                if product is None:
+                    parts = np.add.reduceat(ops[0], starts, axis=0)
+                else:
+                    if swap:
+                        ops = [x.swapaxes(1, 2) for x in ops]
+                    r = ops[0].shape[1]  # rows each frame contributes to A and B
+                    a, b = [x.reshape(k * r, x.shape[2]) for x in ops]
+                    parts = [a[s * r : e * r].T @ b[s * r : e * r] for s, e in zip(starts, ends)]
             for inst, part in zip(insts, parts):
                 try:
                     sink_put(inst.sink, top_id, part, True)
                 except TypeError as exc:
                     return exc, next(f for f in frames if f.inst is inst)
             return None
+    if stacks is not None or state.stacked:
+        _unstack(body, ids, frames, stacks)
     for f in frames:
         vals = f.values
         if product is None:
@@ -823,6 +1105,8 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
         with state.lock:
             state.in_flight += k
             state.peak = max(state.peak, state.in_flight)
+    if state.stacked:
+        _unstack(body, seg.reads, frames, None)
     later = tuple([] for _ in seg.deferred)
     try:
         run = seg.run
@@ -879,7 +1163,10 @@ def _round(state: _RunState):
                 return
             continue
         if len(frames) >= _BATCH_MIN:
-            error = _run_members(state, body, waves, frames, {})
+            stacks: dict = {}
+            error = _run_members(state, body, waves, frames, stacks)
+            if error is None:
+                _keep(state, body, u, frames, stacks)
         else:
             seg = _compiled(body, u)
             if seg:
@@ -944,7 +1231,7 @@ def run_batch(
     tops = []
     for feeds in feed_list:
         values = _template(top)
-        frame = _Frame(top, values, None, -1, (), None, 0, _Instance())
+        frame = _Frame(top, values, None, -1, (), None, 0, _Instance(len(tops)))
         frame.path = "-"
         by_name = {}
         for h, v in feeds.items():
@@ -976,6 +1263,7 @@ def run_batch(
         if frame.inst.fetch_remaining:
             state.open += 1
         tops.append(frame)
+    state.tops = tops
     for u in top.initial_ready:
         state.ready[(top, u)] = tops.copy()
 
@@ -998,7 +1286,7 @@ def run_batch(
     for frame in tops:
         values = frame.values
         if frame.inst.fetch_remaining:
-            missing = sorted(i for i in state.watched if values[i] is _PENDING)
+            missing = sorted(i for i in state.watched if _ref(frame, i) is _PENDING)
             raise ExecutionError(
                 f"run stalled: fetched node(s) {missing} never became ready"
             )
@@ -1006,7 +1294,7 @@ def run_batch(
             RunResult(
                 values=[
                     Tensor._wrap(v) if type(v) is np.ndarray else v
-                    for v in (values[i] for i in fetch_ids)
+                    for v in (_value(frame, i) for i in fetch_ids)
                 ],
                 frames=frame.inst.frames,
                 peak_concurrency=state.peak,

@@ -72,32 +72,55 @@ class RowTable:
 class RowGrads:
     """Sparse gradient of a gather table: per-row contributions to scatter-add.
 
-    Entries keep arrival order; duplicates are summed first-seen-first when
-    densified or applied, so reductions stay order-deterministic.
+    Read as one index array and one `(n, cols)` row stack, in arrival
+    order; duplicates are summed first-seen-first when densified or applied,
+    so reductions stay order-deterministic. It is built from parts, each a
+    (row index, 1 x cols row) entry or an (index array, row stack) pair,
+    which are joined on first read: a merge only joins the part tuples, so
+    summing many one-row gradients copies no row more than once.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "_parts")
 
-    def __init__(self, rows: int, cols: int, entries: tuple):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries  # tuple of (row_index, 1 x cols ndarray)
+    def __init__(self, rows: int, cols: int, entries: tuple = ()):
+        """From (row index, 1 x cols array) entries."""
+        self.rows, self.cols, self._parts = rows, cols, tuple(entries)
+
+    @classmethod
+    def of(cls, rows: int, cols: int, idx: np.ndarray, vals: np.ndarray) -> "RowGrads":
+        """Row `vals[j]` (a `(n, cols)` stack) for table row `idx[j]`."""
+        return cls(rows, cols, ((idx, vals),))
+
+    def _joined(self) -> tuple[np.ndarray, np.ndarray]:
+        parts = self._parts
+        if len(parts) != 1 or type(parts[0][0]) is not np.ndarray:
+            idx = [i for i, _ in parts]
+            if any(type(i) is np.ndarray for i in idx):
+                idx = np.concatenate([np.asarray(i, np.intp).reshape(-1) for i in idx])
+            vals = np.concatenate([v for _, v in parts]) if parts else np.zeros((0, self.cols))
+            parts = self._parts = ((np.array(idx, np.intp), vals),)
+        return parts[0]
+
+    @property
+    def entries(self) -> tuple:
+        """(row index, 1 x cols array) per contribution, in arrival order."""
+        idx, vals = self._joined()
+        return tuple(zip(idx.tolist(), vals[:, None, :]))
 
     def merge(self, other: "RowGrads") -> "RowGrads":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("row-gradient shapes differ")
-        return RowGrads(self.rows, self.cols, self.entries + other.entries)
+        return RowGrads(self.rows, self.cols, self._parts + other._parts)
 
     def sums(self, start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """The touched row indices, ascending, and each one's sum: `start`
         plus its entries, added one at a time in arrival order."""
-        idx = np.fromiter((i for i, _ in self.entries), np.intp, len(self.entries))
+        idx, vals = self._joined()
         touched, where = np.unique(idx, return_inverse=True)
         out = np.full((len(touched), self.cols), start)
-        if self.entries:
+        if len(idx):
             flat = (where[:, None] * self.cols + np.arange(self.cols)).ravel()
-            rows = np.concatenate([row for _, row in self.entries])
-            np.add.at(out.reshape(-1), flat, rows.reshape(-1))  # 1-D: numpy's fast path
+            np.add.at(out.reshape(-1), flat, vals.reshape(-1))  # 1-D: numpy's fast path
         return touched, out
 
     def to_dense(self) -> Tensor:
@@ -872,6 +895,7 @@ class SinkAdd(NamedTuple):
     product: object  # the fused per-frame product (see kernels.FUSED_SUMS), else None
     swap: object  # whether to swap a fused product's operand axes, else None
     stacks: bool  # whether a batched group sums stacked operands (else frame by frame)
+    table: object  # a fused `scatter_row`'s table shape, else None
 
 
 class CompiledBody:
@@ -907,8 +931,11 @@ class CompiledBody:
         "n_nodes",
         "mirrors",
         "fwd_slots",
-        "keep",
+        "fwd_src",
         "recorded",
+        "row_slot",
+        "pending_at",
+        "unit_exposed",
     )
 
     def __init__(self, g: Graph, is_top: bool, reads=(), sites=()):
@@ -919,10 +946,12 @@ class CompiledBody:
         self.n_nodes = n
         self.mirrors = g.mirrors
         # (slot, forward node id) for the slots a gradient frame fills from
-        # its forward frame; what a completed forward frame keeps for them;
-        # and the call sites whose child frames a gradient call will pop
+        # its forward frame, and per node id that forward id (else -1); and
+        # the call sites whose child frames a gradient call will pop
         self.fwd_slots = [(nd.id, nd.payload) for nd in g.nodes if nd.kind == "fwd_value"]
-        self.keep = tuple(reads)
+        self.fwd_src = [-1] * n
+        for slot, i in self.fwd_slots:
+            self.fwd_src[slot] = i
         self.recorded = frozenset(sites)
         self.kinds = [nd.kind for nd in g.nodes]
         self.payloads = [nd.payload for nd in g.nodes]
@@ -931,7 +960,8 @@ class CompiledBody:
             g.capture_map[(id(h.graph), h.id)] for h in g.capture_order
         ]
         preset_kinds = {"const", "none_const"}
-        initial = set(self.arg_slots) | {slot for slot, _ in self.fwd_slots}
+        arg_set = set(self.arg_slots)
+        initial = arg_set | {slot for slot, _ in self.fwd_slots}
         self.preset = []
         self.placeholders = []
         self.parameters = []
@@ -1002,10 +1032,9 @@ class CompiledBody:
             unit_of[i] = u
             members[u].append(i)
         # Per unit: the units that wait on it, and how many units it waits
-        # on. Per node: how many nodes read it; whether a frame must hold it
-        # (it is read outside its segment, by a member other than a sink add
-        # with no batched variant, by the gradient, or fetched from the top
-        # level); and its depth among its segment's members, which orders
+        # on. Per node: how many nodes read it; whether something outside its
+        # segment reads it (another unit, the gradient, or a fetch from the
+        # top level); and its depth among its segment's members, which orders
         # them in waves of independent members.
         deps: list[list[int]] = [[] for _ in members]
         pending = [0] * len(members)
@@ -1034,8 +1063,6 @@ class CompiledBody:
                         pending[u] += 1
                 else:
                     level[i] = max(level[i], level[j] + 1)
-                    if self.batched[i] is None and nd.kind != "sink_add":
-                        exposed[j] = True
             w = waves[u]
             if w is not None:
                 if level[i] == len(w):
@@ -1050,20 +1077,54 @@ class CompiledBody:
         # that only the sink reads is fused into it: the sink sums the
         # product over each instance's frames as one gemm of the operands,
         # and the source leaves the waves, so no frame's product is ever
-        # computed, nor handed to a worker. The top level keeps its products,
-        # since any of its nodes may be fetched. A source whose value is
-        # never dense is added frame by frame in every group.
+        # computed, nor handed to a worker. A `scatter_row` source that only
+        # the sink reads is fused the same way: a batched group adds one row
+        # gradient per instance, built from the stacked operands. The top
+        # level keeps its sources, since any of its nodes may be fetched.
+        # Any other source whose value is never dense is added frame by
+        # frame in every group.
         self.sinks = sinks = [None] * n
         for nd in g.nodes:
             if nd.kind != "sink_add":
                 continue
             (src,) = nd.inputs
-            tag = self.payloads[src] if self.kinds[src] == "binary" else None
-            if tag in kernels.FUSED_SUMS and not is_top and readers[src] == 1 and src not in held:
+            kind = self.kinds[src]
+            tag = self.payloads[src] if kind == "binary" else kind
+            if (tag in kernels.FUSED_SUMS or tag == "scatter_row") and not is_top and (
+                readers[src] == 1 and src not in held
+            ):
                 waves[unit_of[src]][level[src]].remove(src)
-                sinks[nd.id] = SinkAdd(nd.payload, self.inputs[src], *kernels.FUSED_SUMS[tag], True)
+                if tag == "scatter_row":
+                    table = self.payloads[src]
+                    fused = (kernels.scatter_fn(table), None, True, table)
+                else:
+                    fused = (*kernels.FUSED_SUMS[tag], True, None)
+                sinks[nd.id] = SinkAdd(nd.payload, self.inputs[src], *fused)
             else:
-                sinks[nd.id] = SinkAdd(nd.payload, (src,), None, None, not rows[src])
+                sinks[nd.id] = SinkAdd(nd.payload, (src,), None, None, not rows[src], None)
+        # Per node whose value may lie in a stack (see the executor's `_keep`
+        # and `_ref`): the slot after the node slots where a frame holds what
+        # holds it, with its row in the next slot, else -1. For a segment
+        # member that is the group record of the batched group that ran the
+        # segment for the frame (one pair per unit); for an argument or a
+        # call's output, the stack it was copied from. The frame's countdowns
+        # of the units it waits on follow, from `pending_at`. Per unit: the
+        # members a record keeps (the exposed ones).
+        self.row_slot = row_slot = [-1] * n
+        self.unit_exposed = []
+        for u, ms in enumerate(members):
+            seg = [m for m in ms if self.kinds[m] != "sink_add"] if waves[u] is not None else []
+            for m in seg:
+                row_slot[m] = n + 2 * u
+            self.unit_exposed.append(tuple(m for m in seg if exposed[m]))
+        at = n + 2 * len(members)
+        for i, kind in enumerate(self.kinds):
+            if (kind in control and kind != "grad_out") or kind == "result" or (
+                i in arg_set and not self.shared[i]
+            ):
+                row_slot[i] = at
+                at += 2
+        self.pending_at = at
         self.unit_nodes = [tuple(ms) for ms in members]
         # per unit: its members in waves, None for a control node; and its
         # `kernels.CompiledSegment`, made when a group under the executor's

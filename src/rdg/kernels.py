@@ -23,7 +23,8 @@ value is a row table or row gradients (see `compile_body`), which the
 scheduler runs once for a group of k frames at the same node. Its operands
 are plain arrays: a 2-D array is one value shared by every frame of the
 group (a parameter, a constant), a 3-D array stacks the k per-frame values
-along axis 0. It returns a 3-D array whose slice j is frame j's value, or a
+along axis 0 (a `gather_row` table may also come as `Tables`, one per
+instance). It returns a 3-D array whose slice j is frame j's value, or a
 2-D array when every operand was shared. Any operand a batched variant
 cannot handle (a missing gradient, say) makes it raise; the
 scheduler then runs the node's per-frame kernels, which also name the
@@ -112,6 +113,16 @@ FUSED_SUMS = {
 }
 
 
+def scatter_fn(table):
+    """A `scatter_row`'s maths for a table of shape `table`: row d's
+    contribution to table row i."""
+
+    def scatter(d, i):
+        return _g.RowGrads(table.rows, table.cols, ((index_of(i), d),))
+
+    return scatter
+
+
 def _binary_fn(tag):
     if tag not in _BINARY:
         raise _g.BuildError(f"unknown binary function {tag!r}")
@@ -174,13 +185,8 @@ def _build_strict(node):
         return lambda v: _frozen(f(v[a], v[b]))
     if k == "scatter_row":
         a, b = ins
-        shape = node.payload
-
-        def scatter(v):
-            i = index_of(v[b])
-            return _g.RowGrads(shape.rows, shape.cols, ((i, v[a]),))
-
-        return scatter
+        scatter = scatter_fn(node.payload)
+        return lambda v: scatter(v[a], v[b])
     if k == "grad_accum":
         return _build_grad_accum(ins)
     if k == "table_get":
@@ -388,11 +394,34 @@ def _bindices(x):
     return ii
 
 
+class Tables(NamedTuple):
+    """The tables of a batched group's instances, for `gather_row`: their
+    rows one table after another, and per frame where its instance's table
+    starts and how many rows it has."""
+
+    rows: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+
+
 def _bgather(t, i):
     ii = _bindices(i)
+    if type(t) is Tables:
+        if (ii >= t.size).any():
+            raise IndexError("row out of range in batch")
+        return t.rows[t.start + ii][:, None, :]
     if t.ndim == 2:  # one table shared by every frame
         return t[ii][:, None, :]
     return t[np.arange(len(ii)), ii][:, None, :]  # a table per frame
+
+
+def bscatter(d, i):
+    """The batched `scatter_row` of k stacked 1xC rows d and 1x1 indices i:
+    the k table row indices and the (k, C) rows. A sink splits them into one
+    row gradient per instance."""
+    if d.ndim != 3 or d.shape[1] != 1:
+        raise ValueError("batched scatter needs k stacked 1xC rows")
+    return _bindices(i), d.reshape(len(d), d.shape[2])
 
 
 def _bxent_parts(logits, label):
@@ -471,6 +500,7 @@ class CompiledSegment(NamedTuple):
     run: Callable  # run(frame values, the instance's sink, held-back sink adds)
     members: tuple  # the members it runs, in the member loop's order
     deferred: tuple  # per held-back sink add, its top-level node id and ownership
+    reads: tuple  # the nodes outside the segment that its members read
 
 
 def compile_segment(body, u: int) -> CompiledSegment:
@@ -551,4 +581,6 @@ def compile_segment(body, u: int) -> CompiledSegment:
             lines.append(f"    t{m} = v[{m}] = k{m}(v)")
             loaded.add(m)
     exec(compile("\n".join(lines), f"<segment {u}>", "exec"), ns)
-    return CompiledSegment(ns["segment"], members, tuple(deferred))
+    reads = {j for m in members for j in (body.sinks[m].ids if body.sinks[m] else body.inputs[m])}
+    reads = tuple(sorted(j for j in reads if body.unit_of[j] != u and not body.shared[j]))
+    return CompiledSegment(ns["segment"], members, tuple(deferred), reads)

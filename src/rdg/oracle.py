@@ -93,6 +93,7 @@ def _forward(kind: str, p: dict, t: TreeInstance) -> _Tape:
         tape.order.append(i)
 
     visit(t.root)
+    del visit  # it refers to itself: without this, the tape waits for the cycle collector
     return tape
 
 

@@ -582,10 +582,10 @@ class TestRunBatch:
     def test_failed_batched_kernel_reruns_frame_by_frame(self):
         # Fan(3) reaches 8 Pick frames in one round; each adds 1 to its
         # argument and gathers that row of the fed table. The sum is read
-        # only by the gather, so it stays one stack. Two instances with
-        # tables of different heights cannot be stacked into one batched
-        # gather: the group runs frame by frame, reading the sum through
-        # views of the stack.
+        # only by the gather, so it stays one stack. Two instances' tables
+        # of different heights are gathered from in one batched pass, by
+        # (instance, row). A batched gather that raises makes the group run
+        # frame by frame, reading the sum as rows of the stack.
         g = Graph()
         fan = g.declare_subgraph("Fan", *scalar_sig())
         pick = g.declare_subgraph("Pick", *scalar_sig())
@@ -625,6 +625,14 @@ class TestRunBatch:
         ]
         got = [r.values[0].item() for r in run_batch(fg, feeds, [y])]
         assert got == [16.0, 8.0]  # 8 leaves x row 1
+        assert calls["per-frame"] == 0
+
+        def broken(*ops):
+            raise ValueError("no batched gather")
+
+        body.batched[gather] = broken
+        got = [r.values[0].item() for r in run_batch(fg, feeds, [y])]
+        assert got == [16.0, 8.0]
         assert calls["per-frame"] == 16
 
         feeds[1]["table"] = Tensor.scalar(7.0)  # no row 1: the frames fail
@@ -661,18 +669,164 @@ class TestRunBatch:
         with pytest.raises(ExecutionError, match=msg):
             run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [y])
 
+    def test_batched_gradient_reads_arguments_results_and_forward_values_from_stacks(
+        self, monkeypatch
+    ):
+        # Ten balanced 16-leaf trees: every group runs batched. A batched
+        # group keeps its exposed values in its record, so call arguments,
+        # call results and a gradient's forward values are read as slices or
+        # takes of stacks, never stacked again from rows of a stack. (The
+        # roots' arguments come from the fed root indices, one array per
+        # instance.)
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
+        model = build_recursive(cfg)
+        g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+        params = init_params(cfg, seed=3, scale=0.3)
+        rng = np.random.default_rng(7)
+        trees = [generate_synthetic("balanced", 16, 10, 2, rng) for _ in range(10)]
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        restacked = Counter()
+        restack = executor._restack
+
+        def counted(body, i, xs):
+            rows = any(getattr(x, "base", None) is not None and x.base.ndim == 3 for x in xs)
+            restacked[body.kinds[i], "rows" if rows else "arrays"] += 1
+            return restack(body, i, xs)
+
+        monkeypatch.setattr(executor, "_restack", counted)
+        batch = run_batch(g, [make_feeds(model, t) for t in trees], fetches, RunOptions(), params)
+        assert restacked, "no value was stacked from frames"
+        slots = {"fwd_value", "result", "invoke", "cond", "cond_grad"}
+        args = {"input", "capture"}
+        bad = [k for k in restacked if k[0] in slots or (k[0] in args and k[1] == "rows")]
+        assert not bad, restacked
+        for tree, res in zip(trees, batch):
+            want_loss, want_grads = oracle_forward_backward("treelstm", params, tree)
+            assert abs(res.values[0].item() - want_loss) <= 1e-9
+            for name, got in zip(gm.param_order, res.values[1:]):
+                want = want_grads[name]
+                assert np.all(np.abs(_dense(got) - want) <= 1e-7 * np.abs(want) + 1e-9), name
+
+    def test_mixed_shapes_gather_rows_from_several_records(self, monkeypatch):
+        # Linear, moderate and balanced trees in one batch: a group's frames
+        # find their values at rows out of order, and in the records of
+        # several groups (a leaf child and an internal one, say). Results
+        # are bit-identical at 1 and 3 threads, and match each tree's own
+        # run and the oracle.
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2, per_node_loss=True)
+        model = build_recursive(cfg)
+        g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+        params = init_params(cfg, seed=2, scale=0.3)
+        rng = np.random.default_rng(11)
+        trees = [
+            generate_synthetic(shape, leaves, 10, 2, rng)
+            for shape, sizes in (("linear", (12, 9)), ("moderate", (16, 11)), ("balanced", (16, 8)))
+            for leaves in sizes
+        ]
+        feeds = [make_feeds(model, t) for t in trees]
+        fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
+        seen = Counter()
+        pick = executor._pick
+
+        def counted(where, i, k):
+            seen["several"] += len(where) > 1
+            seen["out of order"] += any(type(rows) is not slice for _, _, rows in where)
+            return pick(where, i, k)
+
+        monkeypatch.setattr(executor, "_pick", counted)
+        one = run_batch(g, feeds, fetches, RunOptions(threads=1), params)
+        three = run_batch(g, feeds, fetches, RunOptions(threads=3), params)
+        assert seen["several"] and seen["out of order"], seen
+        monkeypatch.setattr(executor, "_pick", pick)
+        for tree, fd, r1, r3 in zip(trees, feeds, one, three):
+            for a, b in zip(r1.values, r3.values):
+                assert np.array_equal(_dense(a), _dense(b))
+            single = run(g, fd, fetches, RunOptions(), params)
+            want_loss, want_grads = oracle_forward_backward(
+                "treelstm", params, tree, per_node_loss=True
+            )
+            assert abs(r1.values[0].item() - want_loss) <= 1e-9
+            for name, got, alone in zip(gm.param_order, r1.values[1:], single.values[1:]):
+                got, alone, want = _dense(got), _dense(alone), want_grads[name]
+                assert np.abs(got - alone).max() <= 1e-12 * np.abs(alone).max(), name
+                assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + 1e-9), name
+
+    def test_failure_in_batched_group_names_the_failing_frame(self, monkeypatch):
+        # Fan(m, n) splits n times into Fan(2m, n-1) and Fan(2m+1, n-1), so
+        # the 8 Pick frames of each instance gather rows 0-7, their indices
+        # computed in their parents' batched groups. One instance's table
+        # lacks row 7: the batched gather raises, the group reruns frame by
+        # frame on rows of those groups' stacks, and the error names the one
+        # failing frame, as a run with every group frame by frame does.
+        g = Graph()
+        pair = [(1, 1), (1, 1)]
+        fan = g.declare_subgraph("Fan", pair, [(1, 1)])
+        split = g.declare_subgraph("Split", pair, [(1, 1)])
+        pick = g.declare_subgraph("Pick", pair, [(1, 1)])
+        table = g.placeholder((None, 1), "table")
+        fb = g.body(fan)
+        m, n = fb.args
+        fb.set_outputs(fb.cond(n, split, pick, [m, n]))
+        g.define_subgraph(fan, fb)
+        sb = g.body(split)
+        m, n = sb.args
+        left = sb.add(m, m)
+        right = sb.add(left, sb.constant(Tensor.scalar(1.0)))
+        down = sb.add(n, sb.constant(Tensor.scalar(-1.0)))
+        (a,) = sb.invoke(fan, [left, down])
+        (b,) = sb.invoke(fan, [right, down])
+        sb.set_outputs([sb.add(a, b)])
+        g.define_subgraph(split, sb)
+        pb = g.body(pick)
+        m, _ = pb.args
+        pb.set_outputs([pb.tanh(pb.gather_row(table, m))])
+        g.define_subgraph(pick, pb)
+        x, depth = g.placeholder((1, 1), "x"), g.placeholder((1, 1), "depth")
+        (y,) = g.invoke(fan, [x, depth])
+        fg = g.finalize()
+
+        body = fg.bodies["Pick"]
+        gather = body.kinds.index("gather_row")
+        tries = Counter()
+        batched = body.batched[gather]
+
+        def counted(*ops):
+            tries["batched"] += 1
+            return batched(*ops)
+
+        body.batched[gather] = counted
+        rows = np.arange(8.0).reshape(8, 1)
+        feeds = [
+            {"x": Tensor.scalar(0.0), "depth": Tensor.scalar(3.0), "table": Tensor.from_array(t)}
+            for t in (rows, rows[:7])
+        ]
+        with pytest.raises(ExecutionError, match="row 7 out of range for 7x1 table") as batched_err:
+            run_batch(fg, feeds, [y])
+        assert tries["batched"] == 1
+        monkeypatch.setattr(executor, "_BATCH_MIN", 1 << 30)
+        with pytest.raises(ExecutionError) as per_frame_err:
+            run_batch(fg, feeds, [y])
+        assert tries["batched"] == 1
+        assert str(batched_err.value) == str(per_frame_err.value)
+        # the top's call, Fan's cond, then the right-hand call at each level
+        (key,) = re.findall(r"at key (\S+):", str(batched_err.value))
+        sites = key.split("/")
+        assert len(sites) == 5 and len(set(sites[2:])) == 1
+
     def test_row_table_nodes_never_run_batched(self, monkeypatch):
         # The iterative TreeLSTM threads its states through row tables, and
         # no node whose value is a table has a batched variant. The
-        # embedding's gradient is row gradients, and finalize sends its sink
-        # adds to the per-frame pass. So a 12-instance gradient batch never
-        # tries to stack either (each try raised and sent the group to its
-        # per-frame kernels or adds).
+        # embedding's gradient is row gradients: finalize fuses each
+        # `scatter_row` into its sink add, which stacks the dense row and
+        # index and adds one row gradient per instance. So a 12-instance
+        # gradient batch never tries to stack a table or row gradients
+        # (each try raised and sent the group to its per-frame kernels or
+        # adds).
         cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
         model = build_iterative(cfg, 24)
         g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
         sinks = [s for s in g.bodies["LeafStep__grad"].sinks if s is not None]
-        assert [s.stacks for s in sinks if s.top == model.params["E"].id] == [False]
+        assert [s.table for s in sinks if s.top == model.params["E"].id] == [(12, 4)]
         params = init_params(cfg, seed=3, scale=0.3)
         rng = np.random.default_rng(7)
         shapes = ("balanced", "linear", "moderate")

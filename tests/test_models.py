@@ -11,6 +11,7 @@ Layered evidence, most independent first:
    dictionary and must agree to near machine precision.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -228,6 +229,22 @@ class TestOracleGradientsAgainstFiniteDifferences:
             err = np.abs(grads[name] - fd)
             tol = 1e-6 * np.maximum(np.abs(fd), 1.0) + 1e-9
             assert (err <= tol).all(), (name, err.max())
+
+    def test_leaves_no_reference_cycle(self):
+        # the tape is freed when a call returns, not by the cycle collector,
+        # so the memory a benchmark process peaks at does not depend on when
+        # the collector runs
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
+        params = init_params(cfg, seed=0)
+        tree = generate_synthetic("moderate", 8, 10, 2, np.random.default_rng(0))
+        gc.collect()
+        gc.disable()
+        try:
+            oracle_forward_backward("treelstm", params, tree)
+            oracle_forward("treelstm", params, tree)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestTripleRouteEquivalence:
@@ -474,7 +491,8 @@ class TestGradientGraph:
         rec = build_recursive(cfg)
         g, gm = differentiate(rec.graph, rec.loss, list(rec.params.values()))
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
-        for leaves, rows in ((64, 6_432), (128, 12_896)):  # 127 and 255 nodes
+        # 127 and 255 nodes; no row for a leaf's `scatter_row`, fused into its sink add
+        for leaves, rows in ((64, 6_368), (128, 12_768)):
             tree = generate_synthetic("balanced", leaves, 20, 2, np.random.default_rng(0))
             res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
             assert len(res.trace) == rows  # one row per executed (frame, node)
@@ -520,7 +538,8 @@ class TestGradientGraph:
         fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
         res = run(g, make_feeds(rec, tree), fetches, RunOptions(trace=True), init_params(cfg))
         assert rounds <= 1_010
-        assert len(res.trace) == 5_204  # no row for the products fused into sink adds
+        # no row for the products and the `scatter_row`s fused into sink adds
+        assert len(res.trace) == 5_004
 
     def test_deepest_linear_tree_the_depth_guard_admits(self):
         # 511 leaves (1,021 nodes) in a line: the top's call of Model, then
