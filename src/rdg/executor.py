@@ -24,11 +24,12 @@ its row in two slots after its node slots (`CompiledBody.row_slot`); the
 member's own slot stays pending. A call's argument or output copied from a
 stack keeps that stack and row the same way, and a gradient frame reads a
 forward value that lies in a stack through its forward frame (`fwd`). So a
-batched consumer reads such a value as one slice, or one take per stack,
-with where each frame's row lies found once per group and slot pair
-(`_gather`), a cond compares its group's predicates at once, and a
-`gather_row` from per-instance tables indexes the run's tables, joined once,
-by (instance, row) (`kernels.Tables`). Only a consumer that runs frame by
+batched consumer reads such a value as one slice or index per run of frames
+that one stack serves, with where each frame's row lies found once per
+group and slot pair (`_gather`, kept on the group's `_Group`), a cond
+compares its group's predicates at once, and a `gather_row` from
+per-instance tables indexes the run's tables, joined once, by (instance,
+row) (`kernels.Tables`). Only a consumer that runs frame by
 frame makes a frame hold a row (`_unstack`, `_value`): per-frame kernels,
 compiled segments of small groups, and fetches.
 
@@ -139,19 +140,6 @@ _BATCH_MIN = 8
 # handoff costs more than the kernel, which holds the interpreter lock
 # throughout anyway.
 _OFFLOAD_WORK = float(1 << 20)
-# Frames whose values lie in a few runs of one stack each are gathered run by
-# run; past `_RUNS_MAX` runs, from `_TAKE_MIN` frames up, by one take per
-# stack, and fewer are stacked row by row. Rows of 16x1 values from two
-# interleaved stacks took 20 us by takes and 7 us stacked for 10 frames, 30
-# and 25 us for 40, and 60 and 108 us for 200.
-_RUNS_MAX = 4
-_TAKE_MIN = 32
-# The keys under which a batched group's `stacks` caches `_by_instance`, its
-# frames' instance numbers and their forward frames; a `gather_row` table's
-# `Tables` are cached under (_WHICH, node id), and `_rows` under (body, slot).
-_BY_INSTANCE = -1
-_WHICH = -2
-_FWD = -3  # the group's frames' forward frames
 
 
 class ExecutionError(RuntimeError):
@@ -395,8 +383,8 @@ def _return(f: _Frame):
         x = vals[o]
         if x is _PENDING:
             h = vals[r] if r >= 0 else None
-            if h is not None:  # inline `_ref`: o lies in a stack
-                pvals[c] = h[o] if type(h) is dict else h
+            if h is not None:  # `_ref`'s first step (see `_spawn`)
+                pvals[c] = _held(h, o)
                 pvals[c + 1] = vals[r + 1]
                 continue
             x = _ref(f, o)
@@ -423,13 +411,19 @@ def _ref(f: _Frame, i: int):
             h = f.values[r]
             if h is None:
                 return x
-            return h[i] if type(h) is dict else h, f.values[r + 1]
+            return _held(h, i), f.values[r + 1]
         src = body.fwd_src[i]
         if src < 0:
             return x
         f, i = f.fwd, src
         x = f.values[i]
     return x
+
+
+def _held(h, i: int):
+    """The stack of node i in holder h: a group record's stack of node i, or
+    h itself, a stack an argument or a call's output was copied from."""
+    return h[i] if type(h) is dict else h
 
 
 def _value(f: _Frame, i: int):
@@ -561,9 +555,12 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
         for slot, i, r, c in own:
             x = pvals[i]
             if x is _PENDING:
+                # `_ref`'s first step, here and in `_return` and `_run_cond`:
+                # forward TreeRNN runs of 64-leaf trees at batches 1-25 took
+                # 3-8% longer calling `_ref` for every pending value
                 h = pvals[r] if r >= 0 else None
-                if h is not None:  # inline `_ref`: i lies in a stack
-                    values[c] = h[i] if type(h) is dict else h
+                if h is not None:
+                    values[c] = _held(h, i)
                     values[c + 1] = pvals[r + 1]
                     continue
                 x = _ref(parent, i)
@@ -620,8 +617,7 @@ def _run_cond(state, body, nid, frames):
             if h is not None:  # it lies in a stack
                 got = flags.get(id(h))
                 if got is None:
-                    a = h[pred] if type(h) is dict else h
-                    got = flags[id(h)] = [abs(y) > 0.5 for y in a[:, 0, 0].tolist()]
+                    got = flags[id(h)] = [abs(y) > 0.5 for y in _held(h, pred)[:, 0, 0].tolist()]
                 taken[got[v[r + 1]]].append(f)
                 continue
             x = _value(f, pred)
@@ -685,13 +681,28 @@ def _run_control(state: _RunState, body, nid: int, frames):
 # -- segments (kernels on any thread) --------------------------------------
 
 
-def _operands(body, ids, frames, stacks: dict) -> list:
-    """A batched kernel's operands, the values of node ids `ids`: 2-D if one
-    value serves every frame.
+class _Group:
+    """A batched group's pass over one segment: the stacks of node values it
+    computed or gathered, and what it finds once about its frames."""
 
-    `stacks` holds the segment's results so far and the operands already
-    gathered for it, and takes the ones gathered here.
-    """
+    __slots__ = ("stacks", "rows", "tables", "which", "fwds", "by_instance")
+
+    def __init__(self):
+        # node id -> its k-stack (2-D if one value serves every frame): the
+        # segment's results so far and the operands gathered for it
+        self.stacks: dict = {}
+        self.rows: dict = {}  # (body, row slot) -> `_where` the frames' rows lie
+        self.tables: dict = {}  # node id -> the `Tables` a batched `gather_row` reads
+        self.which = None  # the frames' instance numbers
+        self.fwds = None  # the frames' forward frames
+        self.by_instance = None  # see `_by_instance`
+
+
+def _operands(body, ids, frames, grp: _Group) -> list:
+    """A batched kernel's operands, the values of node ids `ids`: 2-D if one
+    value serves every frame. Kept in `grp.stacks` for the segment's other
+    members."""
+    stacks = grp.stacks
     ops = []
     for i in ids:
         a = stacks.get(i)
@@ -700,19 +711,21 @@ def _operands(body, ids, frames, stacks: dict) -> list:
             if body.run_wide[i] or (body.shared[i] and all(f.values[i] is v for f in frames)):
                 a = v  # one value for every frame
             else:
-                a = _gather(body, i, frames, stacks)
+                a = _gather(body, i, frames, grp)
             stacks[i] = a
         ops.append(a)
     return ops
 
 
-def _tables(state: _RunState, body, i: int, frames, stacks: dict):
+def _tables(state: _RunState, body, i: int, frames, grp: _Group):
     """A batched `gather_row`'s table, node i, which captures a top-level
     node (one value per instance): the value if the run has one instance,
     else `Tables` over the instances' values, joined once per run."""
     if len(state.tops) == 1:
+        # its one table: joining it and indexing by instance made forward
+        # TreeRNN runs of one 64-leaf tree 10-25% slower
         return frames[0].values[i]
-    t = stacks.get((_WHICH, i))
+    t = grp.tables.get(i)
     if t is None:
         tid = body.nodes[i].payload.id
         joined = state.tables.get(tid)
@@ -720,15 +733,14 @@ def _tables(state: _RunState, body, i: int, frames, stacks: dict):
             tabs = [_value(top, tid) for top in state.tops]
             sizes = np.array([len(x) for x in tabs])
             joined = state.tables[tid] = (np.concatenate(tabs), np.cumsum(sizes) - sizes, sizes)
-        which = stacks.get(_WHICH)
-        if which is None:
-            which = stacks[_WHICH] = np.array([f.inst.n for f in frames])
+        if grp.which is None:
+            grp.which = np.array([f.inst.n for f in frames])
         rows, starts, sizes = joined
-        t = stacks[(_WHICH, i)] = Tables(rows, starts[which], sizes[which])
+        t = grp.tables[i] = Tables(rows, starts[grp.which], sizes[grp.which])
     return t
 
 
-def _gather(body, i: int, frames, stacks: dict):
+def _gather(body, i: int, frames, grp: _Group):
     """Node i's values in a group's frames as one k-stack, ValueError if a
     value is missing.
 
@@ -736,25 +748,29 @@ def _gather(body, i: int, frames, stacks: dict):
     that ran it, an argument or a call's output in the stack it was copied
     from (see `_ref`), and a gradient frame's pending forward value in its
     forward frame. Where the frames' rows lie is found once per group and
-    slot pair (`_rows`), and a node read from there is one slice or take per
-    stack. Values the frames hold as arrays are stacked anew.
+    slot pair (`_where`), and a node read from there is one slice or index
+    per run of frames that one stack serves. Values the frames hold as
+    arrays are stacked anew.
     """
     x0 = frames[0].values[i]
     if x0 is _PENDING:
         r = body.row_slot[i]
         if r >= 0:
-            where = _rows(body, r, frames, stacks)
+            key = (body, r)
+            where = grp.rows.get(key, _PENDING)
+            if where is _PENDING:
+                vals = [f.values for f in frames]
+                where = grp.rows[key] = _where([v[r] for v in vals], [v[r + 1] for v in vals])
             if where is not None:
                 try:
                     return _pick(where, i, len(frames))
                 except KeyError:  # some group ran node i frame by frame
                     pass
         elif body.fwd_src[i] >= 0:
-            fwds = stacks.get(_FWD)
-            if fwds is None:
-                fwds = stacks[_FWD] = [f.fwd for f in frames]
-            if None not in fwds:  # else some frames hold copies (see `_spawn`)
-                return _gather(fwds[0].body, body.fwd_src[i], fwds, stacks)
+            if grp.fwds is None:
+                grp.fwds = [f.fwd for f in frames]
+            if None not in grp.fwds:  # else some frames hold copies (see `_spawn`)
+                return _gather(grp.fwds[0].body, body.fwd_src[i], grp.fwds, grp)
     xs = [f.values[i] for f in frames]
     if set(map(type, xs)) != {np.ndarray}:  # a mix: rows of stacks and arrays
         xs = [x if x is not _PENDING else _value(f, i) for f, x in zip(frames, xs)]
@@ -769,59 +785,37 @@ def _restack(body, i: int, xs: list):
     return a
 
 
-def _rows(body, r: int, frames, stacks: dict):
-    """`_where` the frames' rows lie, from the holders and rows they keep in
-    slots r and r + 1, once per group; None if some frame has none."""
-    key = (body, r)
-    where = stacks.get(key, _PENDING)
-    if where is _PENDING:
-        vals = [f.values for f in frames]
-        where = stacks[key] = _where([v[r] for v in vals], [v[r + 1] for v in vals])
-    return where
-
-
 def _where(holders: list, rows: list):
-    """The frames' rows in their holders, as (holder, the frames' positions,
-    their rows) per run of frames that one holder serves, with positions
-    and consecutive rows as slices; or, past `_RUNS_MAX` runs, per holder,
-    with index arrays. None if some frame has no holder, or if fewer than
-    `_TAKE_MIN` frames would need index arrays (stacking their rows costs
-    less)."""
+    """Where frames' rows lie, from the holders and rows they keep in a slot
+    pair: (holder, the frames' positions, their rows) per run of frames that
+    one holder serves, positions as a slice, and rows as a slice if they are
+    consecutive, else a list. None if some frame has no holder."""
     k = len(holders)
     keys = list(map(id, holders))
     runs = [k] if keys.count(keys[0]) == k else [len(list(g)) for _, g in groupby(keys)]
-    if len(runs) <= _RUNS_MAX:
-        where, s = [], 0
-        for n in runs:
-            h, rs = holders[s], rows if n == k else rows[s : s + n]
-            if h is None:
-                return None
-            r0 = rs[0]
-            where.append((h, slice(s, s + n), slice(r0, r0 + n) if rs == list(range(r0, r0 + n)) else rs))
-            s += n
-        return where
-    by = dict(zip(keys, holders))
-    if k < _TAKE_MIN or id(None) in by:
-        return None
-    keys_a, rows_a = np.array(keys), np.array(rows)
-    where = []
-    for key, h in by.items():
-        at = np.flatnonzero(keys_a == key)
-        where.append((h, at, rows_a[at]))
+    where, s = [], 0
+    for n in runs:
+        h, rs = holders[s], rows if n == k else rows[s : s + n]
+        if h is None:
+            return None
+        r0 = rs[0]
+        if rs == list(range(r0, r0 + n)):
+            rs = slice(r0, r0 + n)
+        where.append((h, slice(s, s + n), rs))
+        s += n
     return where
 
 
 def _pick(where: list, i: int, k: int):
-    """A k-stack of node i's rows that `where` locates, in each holder: a
-    group record's stack of node i, or a stack."""
+    """A k-stack of node i's rows that `where` locates."""
+    if len(where) == 1:
+        (h, _, rows), = where
+        # contiguous, as numpy's products then sum in the same order as over
+        # a stack of the rows
+        return np.ascontiguousarray(_held(h, i)[rows])
     out = None
     for h, at, rows in where:
-        a = h[i] if type(h) is dict else h
-        part = a[rows] if type(rows) is slice else a.take(rows, axis=0)
-        if len(where) == 1:
-            # contiguous, as numpy's products then sum in the same order as
-            # over a stack of the rows
-            return np.ascontiguousarray(part)
+        part = _held(h, i)[rows]
         if out is None:
             out = np.empty((k,) + part.shape[1:])
         out[at] = part  # ValueError if the stacks' values differ in shape
@@ -838,12 +832,12 @@ def _stack(out, k: int):
     return out
 
 
-def _keep(state: _RunState, body, u: int, frames, stacks: dict):
+def _keep(state: _RunState, body, u: int, frames, grp: _Group):
     """After batched segment u ran for a group: keep the stacks of its
     exposed members on a group record, and give each frame its row in it."""
     rec = {}
     for m in body.unit_exposed[u]:
-        a = stacks.get(m)
+        a = grp.stacks.get(m)
         if a is not None:  # else it ran frame by frame, and the frames hold it
             rec[m] = a if a.ndim == 3 else np.broadcast_to(a, (len(frames),) + a.shape)
     if rec:
@@ -871,13 +865,13 @@ def _unresolved(body, u: int, frames):
     return None
 
 
-def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
+def _compute(state: _RunState, body, nid: int, frames, grp, wid: int):
     """Compute segment member `nid` for a group: None, or (exception, frame)
     for the first frame that failed.
 
-    In a batched pass (`stacks` is a dict, for groups of `_BATCH_MIN` frames
-    or more) a member with a batched variant runs once over stacked operands
-    and its result stays in `stacks`. Otherwise, or if the batched kernel
+    In a batched pass (`grp` is a `_Group`, for groups of `_BATCH_MIN`
+    frames or more) a member with a batched variant runs once over stacked
+    operands and its result stays in `grp.stacks`. Otherwise, or if the batched kernel
     raises, the per-frame kernel runs for each frame, once the frames hold
     the rows of the inputs that lie in stacks.
     """
@@ -892,22 +886,23 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
     try:
         sink = body.sinks[nid]
         if sink is not None:
-            return _sink_add(state, body, nid, sink, frames, stacks)
-        batched = None if stacks is None else body.batched[nid]
+            return _sink_add(state, body, nid, sink, frames, grp)
+        batched = None if grp is None else body.batched[nid]
         if batched is not None:
             ids = body.inputs[nid]
             try:
                 t = ids[0]
                 if body.kinds[nid] == "gather_row" and body.shared[t] and not body.run_wide[t]:
-                    ops = [_tables(state, body, t, frames, stacks), *_operands(body, ids[1:], frames, stacks)]
+                    ops = [_tables(state, body, t, frames, grp)]
+                    ops += _operands(body, ids[1:], frames, grp)
                 else:
-                    ops = _operands(body, ids, frames, stacks)
-                stacks[nid] = _stack(batched(*ops), k)
+                    ops = _operands(body, ids, frames, grp)
+                grp.stacks[nid] = _stack(batched(*ops), k)
                 return None
             except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
                 pass
-        if stacks is not None or state.stacked:
-            _unstack(body, body.inputs[nid], frames, stacks)
+        if grp is not None or state.stacked:
+            _unstack(body.inputs[nid], frames, grp)
         kernel = body.kernels[nid]
         for f in frames:
             try:
@@ -921,34 +916,30 @@ def _compute(state: _RunState, body, nid: int, frames, stacks, wid: int):
                 state.in_flight -= k
 
 
-def _unstack(body, ids, frames, stacks):
+def _unstack(ids, frames, grp):
     """Give the frames, for per-frame kernels, the rows of those of nodes
-    `ids` that lie in stacks: this batched segment's (`stacks`), or those
+    `ids` that lie in stacks: this batched segment's (`grp`), or those
     `_ref` finds."""
     for i in ids:
-        a = None if stacks is None else stacks.get(i)
-        r = body.row_slot[i]
+        a = None if grp is None else grp.stacks.get(i)
         for j, f in enumerate(frames):
             v = f.values
             if v[i] is not _PENDING:
                 continue
             if a is not None:
                 v[i] = a[j] if a.ndim == 3 else a
-            elif r >= 0 and v[r] is not None:  # inline `_ref`
-                h = v[r]
-                v[i] = (h[i] if type(h) is dict else h)[v[r + 1]]
             else:
                 x = _value(f, i)
                 if x is not _PENDING:
                     v[i] = x
 
 
-def _by_instance(frames, stacks: dict):
+def _by_instance(frames, grp: _Group):
     """A batched group's instances in the order of their first frame, a
     permutation of the frames that makes each instance's frames contiguous
     in their group order (None if they already are), and where each
     instance's run starts. Made once per group, for its sinks."""
-    got = stacks.get(_BY_INSTANCE)
+    got = grp.by_instance
     if got is None:
         pos: dict = {}
         for j, f in enumerate(frames):
@@ -960,13 +951,13 @@ def _by_instance(frames, stacks: dict):
         runs = list(pos.values())
         perm = list(chain.from_iterable(runs))
         starts = np.cumsum([0] + [len(r) for r in runs[:-1]])
-        got = stacks[_BY_INSTANCE] = (
+        got = grp.by_instance = (
             list(pos), None if perm == list(range(len(frames))) else np.array(perm), starts
         )
     return got
 
 
-def _sink_add(state: _RunState, body, nid: int, sink, frames, stacks):
+def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
     """Sink member `nid`: add each frame's contribution to its instance's
     sink entry. None, or (exception, frame) for the first frame that failed.
 
@@ -983,19 +974,19 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, stacks):
     if body.exposed[nid]:  # a top-level grad_out waits on it
         for f in frames:
             f.values[nid] = None
-    if stacks is not None and stacked:
+    if grp is not None and stacked:
         k = len(frames)
         try:
             ops = [
                 a if a.ndim == 3 else np.broadcast_to(a, (k,) + a.shape)
-                for a in _operands(body, ids, frames, stacks)
+                for a in _operands(body, ids, frames, grp)
             ]
             if table is not None:
                 idx, rows = bscatter(*ops)
         except (AttributeError, ValueError):  # no gradient, or ragged rows
             pass
         else:
-            insts, perm, starts = _by_instance(frames, stacks)
+            insts, perm, starts = _by_instance(frames, grp)
             ends = [*starts[1:], k]
             if table is not None:
                 if perm is not None:
@@ -1021,8 +1012,8 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, stacks):
                 except TypeError as exc:
                     return exc, next(f for f in frames if f.inst is inst)
             return None
-    if stacks is not None or state.stacked:
-        _unstack(body, ids, frames, stacks)
+    if grp is not None or state.stacked:
+        _unstack(ids, frames, grp)
     for f in frames:
         vals = f.values
         if product is None:
@@ -1039,7 +1030,7 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, stacks):
     return None
 
 
-def _run_members(state: _RunState, body, waves, frames, stacks):
+def _run_members(state: _RunState, body, waves, frames, grp):
     """Compute a segment's members wave by wave: None, or (exception, frame,
     node id) for the first that failed. With more than one thread, a wave's
     heavy members are shared among the run's threads. Sink adds have no work
@@ -1051,13 +1042,13 @@ def _run_members(state: _RunState, body, waves, frames, stacks):
         if offload and len(wave) > 1:
             heavy = [m for m in wave if k * body.work[m] >= _OFFLOAD_WORK]
             if len(heavy) > 1:
-                tasks = [(body, m, frames, stacks) for m in heavy]
+                tasks = [(body, m, frames, grp) for m in heavy]
                 done = dict(zip(heavy, _compute_all(state, tasks)))
         for m in wave:
             if done is not None and m in done:
                 err = done[m]
             else:
-                err = _compute(state, body, m, frames, stacks, 0)
+                err = _compute(state, body, m, frames, grp, 0)
             if err is not None:
                 return err[0], err[1], m
     return None
@@ -1066,12 +1057,12 @@ def _run_members(state: _RunState, body, waves, frames, stacks):
 _WORKER = threading.local()  # `id`: a pool thread's worker id in trace rows
 
 
-def _offloaded(state: _RunState, body, nid: int, frames, stacks):
-    return _compute(state, body, nid, frames, stacks, _WORKER.id)
+def _offloaded(state: _RunState, body, nid: int, frames, grp):
+    return _compute(state, body, nid, frames, grp, _WORKER.id)
 
 
 def _compute_all(state: _RunState, tasks: list) -> list:
-    """Run (body, node, frames, stacks) members at once, spread over the
+    """Run (body, node, frames, group) members at once, spread over the
     run's pool, started on the first call; returns their `_compute` results
     in order. A task that no worker has started yet runs here."""
     if state.pool is None:
@@ -1106,7 +1097,7 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
             state.in_flight += k
             state.peak = max(state.peak, state.in_flight)
     if state.stacked:
-        _unstack(body, seg.reads, frames, None)
+        _unstack(seg.reads, frames, None)
     later = tuple([] for _ in seg.deferred)
     try:
         run = seg.run
@@ -1163,10 +1154,10 @@ def _round(state: _RunState):
                 return
             continue
         if len(frames) >= _BATCH_MIN:
-            stacks: dict = {}
-            error = _run_members(state, body, waves, frames, stacks)
+            grp = _Group()
+            error = _run_members(state, body, waves, frames, grp)
             if error is None:
-                _keep(state, body, u, frames, stacks)
+                _keep(state, body, u, frames, grp)
         else:
             seg = _compiled(body, u)
             if seg:

@@ -74,31 +74,37 @@ class RowGrads:
 
     Read as one index array and one `(n, cols)` row stack, in arrival
     order; duplicates are summed first-seen-first when densified or applied,
-    so reductions stay order-deterministic. It is built from parts, each a
-    (row index, 1 x cols row) entry or an (index array, row stack) pair,
-    which are joined on first read: a merge only joins the part tuples, so
-    summing many one-row gradients copies no row more than once.
+    so reductions stay order-deterministic. It is built from parts, each an
+    (index array, row stack) pair, which are joined on first read: a merge
+    only joins the part tuples, so summing many gradients copies no row more
+    than once.
     """
 
     __slots__ = ("rows", "cols", "_parts")
 
     def __init__(self, rows: int, cols: int, entries: tuple = ()):
         """From (row index, 1 x cols array) entries."""
-        self.rows, self.cols, self._parts = rows, cols, tuple(entries)
+        entries = tuple(entries)
+        idx = np.array([i for i, _ in entries], np.intp)
+        vals = np.concatenate([v for _, v in entries]) if entries else np.zeros((0, cols))
+        self.rows, self.cols, self._parts = rows, cols, ((idx, vals),)
 
     @classmethod
     def of(cls, rows: int, cols: int, idx: np.ndarray, vals: np.ndarray) -> "RowGrads":
         """Row `vals[j]` (a `(n, cols)` stack) for table row `idx[j]`."""
-        return cls(rows, cols, ((idx, vals),))
+        return cls._of_parts(rows, cols, ((idx, vals),))
+
+    @classmethod
+    def _of_parts(cls, rows: int, cols: int, parts: tuple) -> "RowGrads":
+        g = cls.__new__(cls)
+        g.rows, g.cols, g._parts = rows, cols, parts
+        return g
 
     def _joined(self) -> tuple[np.ndarray, np.ndarray]:
         parts = self._parts
-        if len(parts) != 1 or type(parts[0][0]) is not np.ndarray:
-            idx = [i for i, _ in parts]
-            if any(type(i) is np.ndarray for i in idx):
-                idx = np.concatenate([np.asarray(i, np.intp).reshape(-1) for i in idx])
-            vals = np.concatenate([v for _, v in parts]) if parts else np.zeros((0, self.cols))
-            parts = self._parts = ((np.array(idx, np.intp), vals),)
+        if len(parts) != 1:
+            joined = tuple(np.concatenate(a) for a in zip(*parts))
+            parts = self._parts = (joined,)
         return parts[0]
 
     @property
@@ -110,7 +116,7 @@ class RowGrads:
     def merge(self, other: "RowGrads") -> "RowGrads":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("row-gradient shapes differ")
-        return RowGrads(self.rows, self.cols, self._parts + other._parts)
+        return RowGrads._of_parts(self.rows, self.cols, self._parts + other._parts)
 
     def sums(self, start: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """The touched row indices, ascending, and each one's sum: `start`

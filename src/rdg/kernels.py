@@ -118,7 +118,7 @@ def scatter_fn(table):
     contribution to table row i."""
 
     def scatter(d, i):
-        return _g.RowGrads(table.rows, table.cols, ((index_of(i), d),))
+        return _g.RowGrads.of(table.rows, table.cols, np.array([index_of(i)]), d)
 
     return scatter
 

@@ -675,8 +675,8 @@ class TestRunBatch:
         # Ten balanced 16-leaf trees: every group runs batched. A batched
         # group keeps its exposed values in its record, so call arguments,
         # call results and a gradient's forward values are read as slices or
-        # takes of stacks, never stacked again from rows of a stack. (The
-        # roots' arguments come from the fed root indices, one array per
+        # indexed rows of stacks, never stacked again from rows of a stack.
+        # (The roots' arguments come from the fed root indices, one array per
         # instance.)
         cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
         model = build_recursive(cfg)
