@@ -29,9 +29,9 @@ that one stack serves, with where each frame's row lies found once per
 group and slot pair (`_gather`, kept on the group's `_Group`), a cond
 compares its group's predicates at once, and a `gather_row` from
 per-instance tables indexes the run's tables, joined once, by (instance,
-row) (`kernels.Tables`). Only a consumer that runs frame by
-frame makes a frame hold a row (`_unstack`, `_value`): per-frame kernels,
-compiled segments of small groups, and fetches.
+row) (`kernels.Tables`). Only a consumer that runs frame by frame makes a
+frame hold a row (`_unstack`, `_value`): per-frame kernels, compiled
+segments of small groups, and fetches.
 
 A group under `_BATCH_MIN` frames runs its segment as one generated function
 per frame (`kernels.compile_segment`, made on the segment's first such group
