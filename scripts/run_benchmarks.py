@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Run the three benchmark suites and write one CSV per suite.
+"""Run the two benchmark suites and write one CSV per suite.
 
 Suites:
   balancedness  forward throughput across tree shapes at fixed node count,
                 batch sizes 1/10/25
   scaling       forward latency on balanced trees of growing size,
                 recursive vs. build-time-unrolled iterative
-  threads       forward latency at fixed size across executor thread counts
 
 Medians over many runs are the headline numbers; p95 is reported alongside.
 """
@@ -26,8 +25,8 @@ def main() -> int:
     p.add_argument("--hidden", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--suites", nargs="+",
-                   default=["balancedness", "scaling", "threads"],
-                   choices=["balancedness", "scaling", "threads"])
+                   default=["balancedness", "scaling"],
+                   choices=["balancedness", "scaling"])
     args = p.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -51,13 +50,6 @@ def main() -> int:
         ratios = bench.scaling_ratios(rows)
         for mode, ratio in sorted(ratios.items()):
             print(f"  T(max)/T(min) for {mode}: {ratio:.2f}x")
-
-    if "threads" in args.suites:
-        rows = bench.bench_threads(**common)
-        bench.write_bench_csv(out_dir / "threads.csv", rows)
-        print(f"threads: {len(rows)} rows -> {out_dir / 'threads.csv'}")
-        for r in rows:
-            print(f"  threads={r.threads}: median {r.median_ms:8.2f} ms")
 
     return 0
 

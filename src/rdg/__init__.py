@@ -16,8 +16,8 @@ an AdaGrad trainer, and a benchmark CLI.
 
 import os as _os
 
-# Worker threads already overlap BLAS calls; nested BLAS threading would
-# oversubscribe the pool.
+# One BLAS thread: rdg's results must not depend on how many threads
+# OpenBLAS uses, and OpenBLAS does not promise that its results don't.
 _os.environ.setdefault("OMP_NUM_THREADS", "1")
 _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

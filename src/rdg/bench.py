@@ -1,4 +1,4 @@
-"""Benchmark suites: throughput vs tree shape, input scaling, thread scaling.
+"""Benchmark suites: throughput vs tree shape, and input scaling.
 
 Measurement protocol: every configuration gets warmup runs (excluded) and
 then timed runs; a "run" is one batch of instances executed together by
@@ -31,7 +31,12 @@ BENCH_HEADER = (
 )
 
 SCALING_SIZES = (15, 31, 63, 127, 255, 511)
-THREAD_COUNTS = (1, 2, 4, 8)
+# Consecutive timed runs of one cell per round of the balancedness suite. A
+# run that follows another cell's run is slower: on a 2-core host, balanced
+# and moderate batch-1 cells read 9-13% less throughput with one run per
+# round than with all of a cell's runs back to back, while rounds of 10 runs
+# read the same as back to back.
+ROUND_RUNS = 10
 SHAPES = ("balanced", "moderate", "linear")
 
 
@@ -84,27 +89,19 @@ def write_trace_csv(path: str | Path, trace: list) -> None:
             w.writerow(row)
 
 
-def _measure(
-    model: BuiltModel,
-    trees: list[TreeInstance],
-    params,
-    batch: int,
-    threads: int,
-    warmup: int,
-    runs: int,
-) -> list[float]:
-    """Per-run wall seconds over `runs` timed batches (after `warmup`)."""
+def _timer(model: BuiltModel, trees: list[TreeInstance], params, batch: int, threads: int):
+    """A function that runs batch i of `batch` instances from `trees` and
+    returns its wall seconds."""
     opts = RunOptions(threads=threads)
     feed_pool = [make_feeds(model, t) for t in trees]
-    times = []
-    for i in range(warmup + runs):
+
+    def timed(i: int) -> float:
         feed_list = [feed_pool[(i * batch + j) % len(feed_pool)] for j in range(batch)]
         t0 = time.monotonic()
         run_batch(model.graph, feed_list, [model.loss], opts, params)
-        dt = time.monotonic() - t0
-        if i >= warmup:
-            times.append(dt)
-    return times
+        return time.monotonic() - t0
+
+    return timed
 
 
 def _row(model_kind, mode, suite, shape, batch, threads, times) -> BenchRow:
@@ -137,7 +134,13 @@ def bench_balancedness(
     pool_size: int = 25,
     seed: int = 0,
 ) -> list[BenchRow]:
-    """Forward throughput across tree shapes at fixed size (2*leaves-1 nodes)."""
+    """Forward throughput across tree shapes at fixed size (2*leaves-1 nodes).
+
+    Each (shape, batch) cell warms up on its own; then each round times
+    `ROUND_RUNS` consecutive runs of every cell, until each cell has `runs`.
+    A burst of load on the host longer than a round thus slows every cell
+    alike, and a shorter one a few of a cell's runs, which its median skips.
+    """
     rng = np.random.default_rng(seed)
     vocab = 22
     capacity = 2 * leaves - 1
@@ -149,17 +152,26 @@ def bench_balancedness(
     for mode in modes:
         model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, capacity)
         params = init_params(model.config, seed=seed)
+        timers = {}
         for shape in SHAPES:
             for batch in batches:
-                times = _measure(
-                    model, tree_sets[shape], params, batch, threads, warmup, runs
+                timed = timers[(shape, batch)] = _timer(
+                    model, tree_sets[shape], params, batch, threads
                 )
-                row = _row(kind, mode, "balancedness", shape, batch, threads, times)
-                rows.append(row)
-                log.info(
-                    "balancedness %s/%s %s batch=%d: median %.2f ms, %.1f inst/s",
-                    kind, mode, shape, batch, row.median_ms, row.instances_per_s,
-                )
+                for i in range(warmup):
+                    timed(i)
+        times = {cell: [] for cell in timers}
+        for start in range(warmup, warmup + runs, ROUND_RUNS):
+            for cell, timed in timers.items():
+                for i in range(start, min(start + ROUND_RUNS, warmup + runs)):
+                    times[cell].append(timed(i))
+        for (shape, batch), cell_times in times.items():
+            row = _row(kind, mode, "balancedness", shape, batch, threads, cell_times)
+            rows.append(row)
+            log.info(
+                "balancedness %s/%s %s batch=%d: median %.2f ms, %.1f inst/s",
+                kind, mode, shape, batch, row.median_ms, row.instances_per_s,
+            )
     return rows
 
 
@@ -185,41 +197,12 @@ def bench_scaling(
         for mode in modes:
             model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, n_nodes)
             params = init_params(model.config, seed=seed)
-            times = _measure(model, trees, params, 1, threads, warmup, runs)
+            timed = _timer(model, trees, params, 1, threads)
+            times = [timed(i) for i in range(warmup + runs)][warmup:]
             row = _row(kind, mode, "scaling", f"balanced-{n_nodes}", 1, threads, times)
             rows.append(row)
             log.info(
                 "scaling %s/%s N=%d: median %.2f ms", kind, mode, n_nodes, row.median_ms
-            )
-    return rows
-
-
-def bench_threads(
-    kind: str = "treernn",
-    modes: tuple[str, ...] = ("recursive",),
-    d: int = 16,
-    leaves: int = 128,
-    shape: str = "balanced",
-    thread_counts: tuple[int, ...] = THREAD_COUNTS,
-    warmup: int = 10,
-    runs: int = 100,
-    seed: int = 0,
-) -> list[BenchRow]:
-    """Forward time at fixed tree size across executor thread counts."""
-    rng = np.random.default_rng(seed)
-    vocab = 22
-    capacity = 2 * leaves - 1
-    trees = [generate_synthetic(shape, leaves, vocab - 2, 2, rng) for _ in range(5)]
-    rows = []
-    for mode in modes:
-        model = build_model(ModelConfig(kind, d=d, vocab=vocab, classes=2), mode, capacity)
-        params = init_params(model.config, seed=seed)
-        for threads in thread_counts:
-            times = _measure(model, trees, params, 1, threads, warmup, runs)
-            row = _row(kind, mode, "threads", shape, 1, threads, times)
-            rows.append(row)
-            log.info(
-                "threads %s/%s t=%d: median %.2f ms", kind, mode, threads, row.median_ms
             )
     return rows
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 runtime failure (divergence, bad checkpoint, IO),
 2 usage error (argparse validation). Every command is deterministic given
---seed; numeric results are additionally independent of --threads.
+--seed. --threads is accepted and must be >= 1; the engine computes every
+kernel on the calling thread, so neither results nor speed depend on it.
 
 Setting RDG_TRACE=1 makes `bench` write a per-node execution trace CSV
 (timestamp_us, worker_id, key, node_id, op_kind) next to the report.
@@ -128,12 +129,8 @@ def cmd_bench(args) -> int:
         rows = bench_mod.bench_balancedness(
             threads=args.threads, leaves=args.leaves or 64, **common
         )
-    elif args.suite == "scaling":
-        rows = bench_mod.bench_scaling(threads=args.threads, **common)
     else:
-        rows = bench_mod.bench_threads(
-            leaves=args.leaves or 128, shape=args.shape, **common
-        )
+        rows = bench_mod.bench_scaling(threads=args.threads, **common)
     bench_mod.write_bench_csv(args.out, rows)
     log.info("%d bench row(s) written to %s", len(rows), args.out)
     for r in rows:
@@ -173,6 +170,13 @@ def cmd_gendata(args) -> int:
     return 0
 
 
+def _threads(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rdg",
@@ -183,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common_model_flags(sp, default_threads=1):
         sp.add_argument("--model", choices=MODEL_KINDS, default="treernn")
         sp.add_argument("--hidden", type=int, default=32, help="state width d")
-        sp.add_argument("--threads", type=int, default=default_threads,
-                        help="executor worker threads per instance")
+        sp.add_argument("--threads", type=_threads, default=default_threads,
+                        help="accepted for compatibility (>= 1); results and speed "
+                        "do not depend on it")
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("train", help="train a model on a labeled-tree corpus")
@@ -210,22 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--mode", choices=("recursive", "iterative"), default="recursive")
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=_threads, default=1)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("bench", help="run a benchmark suite, write a CSV report")
     common_model_flags(sp, default_threads=8)
-    sp.add_argument("--suite", choices=("balancedness", "scaling", "threads"),
-                    required=True)
+    sp.add_argument("--suite", choices=("balancedness", "scaling"), required=True)
     sp.add_argument("--mode", action="append", choices=("recursive", "iterative"),
                     help="repeatable; default recursive")
     sp.add_argument("--out", required=True, help="report CSV path")
     sp.add_argument("--runs", type=int, default=100, help="timed runs per config")
     sp.add_argument("--warmup", type=int, default=10)
     sp.add_argument("--leaves", type=int, default=0,
-                    help="leaf count (default: 64 balancedness, 128 threads)")
-    sp.add_argument("--shape", choices=("balanced", "moderate", "linear"),
-                    default="balanced", help="tree shape for the threads suite")
+                    help="leaf count of the balancedness suite (default 64)")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("gendata", help="generate a synthetic labeled-tree corpus")

@@ -115,16 +115,22 @@ class _TreeBuilder:
 
 
 def parse_sexpr(line: str, vocab: Vocab, grow: bool = False) -> TreeInstance:
+    """Parse one tree. Iterative, so a tree of any depth parses: each open
+    internal node waits on a stack for its children, and a node gets its id
+    when its closing parenthesis is read, which numbers the nodes in
+    post-order."""
     b = _TreeBuilder()
-    pos = 0
     n = len(line)
+    # per open internal node: its label, and its left child's id once parsed
+    open_nodes: list[list] = []
 
     def skip_ws(p: int) -> int:
         while p < n and line[p].isspace():
             p += 1
         return p
 
-    def parse_node(p: int) -> tuple[int, int]:
+    p = 0
+    while True:  # read one node's head at p; a leaf closes it
         p = skip_ws(p)
         if p >= n or line[p] != "(":
             raise ParseError("expected '('", p)
@@ -138,17 +144,8 @@ def parse_sexpr(line: str, vocab: Vocab, grow: bool = False) -> TreeInstance:
             raise ParseError(f"bad label {line[start:p]!r}", start) from None
         p = skip_ws(p)
         if p < n and line[p] == "(":
-            left, p = parse_node(p)
-            p = skip_ws(p)
-            if p >= n or line[p] != "(":
-                raise ParseError("internal node needs two subtree children", p)
-            right, p = parse_node(p)
-            p = skip_ws(p)
-            if p >= n:
-                raise ParseError("expected ')'", p)
-            if line[p] != ")":
-                raise ParseError("internal node takes exactly two children", p)
-            return b.internal(label, left, right), p + 1
+            open_nodes.append([label, None])
+            continue
         start = p
         while p < n and not line[p].isspace() and line[p] not in "()":
             p += 1
@@ -158,22 +155,42 @@ def parse_sexpr(line: str, vocab: Vocab, grow: bool = False) -> TreeInstance:
         p = skip_ws(p)
         if p >= n or line[p] != ")":
             raise ParseError("expected ')' after leaf token", p)
-        return b.leaf(label, vocab.lookup(token, grow)), p + 1
-
-    root, pos = parse_node(pos)
-    pos = skip_ws(pos)
-    if pos != n:
-        raise ParseError("trailing content after tree", pos)
-    return b.done(root)
+        node, p = b.leaf(label, vocab.lookup(token, grow)), p + 1
+        while open_nodes and open_nodes[-1][1] is not None:  # node was a right child
+            label, left = open_nodes.pop()
+            p = skip_ws(p)
+            if p >= n:
+                raise ParseError("expected ')'", p)
+            if line[p] != ")":
+                raise ParseError("internal node takes exactly two children", p)
+            node, p = b.internal(label, left, node), p + 1
+        if not open_nodes:
+            break
+        open_nodes[-1][1] = node  # node was a left child: the right one follows
+        p = skip_ws(p)
+        if p >= n or line[p] != "(":
+            raise ParseError("internal node needs two subtree children", p)
+    p = skip_ws(p)
+    if p != n:
+        raise ParseError("trailing content after tree", p)
+    return b.done(node)
 
 
 def serialize(t: TreeInstance, vocab: Vocab) -> str:
-    def emit(i: int) -> str:
-        if t.is_leaf(i):
-            return f"({t.labels[i]} {vocab.id_to_token[t.tokens[i]]})"
-        return f"({t.labels[i]} {emit(t.lefts[i])} {emit(t.rights[i])})"
-
-    return emit(t.root)
+    """t as one line that `parse_sexpr` reads back. Iterative, so a tree of
+    any depth serializes."""
+    parts = []
+    todo: list = [t.root]  # node ids to write and text to copy, last first
+    while todo:
+        i = todo.pop()
+        if type(i) is str:
+            parts.append(i)
+        elif t.is_leaf(i):
+            parts.append(f"({t.labels[i]} {vocab.id_to_token[t.tokens[i]]})")
+        else:
+            parts.append(f"({t.labels[i]} ")
+            todo += [")", t.rights[i], " ", t.lefts[i]]
+    return "".join(parts)
 
 
 def load_corpus(path: str | Path, vocab: Vocab, grow: bool = False) -> list[TreeInstance]:
@@ -215,23 +232,30 @@ def generate_synthetic(
         raise ValueError(f"unknown shape {shape!r}")
 
     b = _TreeBuilder()
-
-    def build(k: int) -> tuple[int, int]:  # (node id, subtree word sum)
-        if k == 1:
+    # Iterative, so a tree of any depth builds. A subtree of k > 1 leaves
+    # draws its split, then builds its left subtree, its right one, and
+    # itself (0 on `todo`), so the draws and the post-order node ids follow
+    # a depth-first build.
+    todo = [n_leaves]  # leaf counts of the subtrees to build, last first
+    built = []  # (node id, subtree word sum) per subtree built and not yet joined
+    while todo:
+        k = todo.pop()
+        if k == 0:
+            right, rs = built.pop()
+            left, ls = built.pop()
+            built.append((b.internal((ls + rs) % n_classes, left, right), ls + rs))
+        elif k == 1:
             w = int(rng.integers(0, vocab_size))
-            return b.leaf(w % n_classes, w + 1), w
-        if shape == "balanced":
-            split = k // 2
-        elif shape == "linear":
-            split = k - 1
+            built.append((b.leaf(w % n_classes, w + 1), w))
         else:
-            split = int(rng.integers(1, k))
-        left, ls = build(split)
-        right, rs = build(k - split)
-        return b.internal((ls + rs) % n_classes, left, right), ls + rs
-
-    root, _ = build(n_leaves)
-    return b.done(root)
+            if shape == "balanced":
+                split = k // 2
+            elif shape == "linear":
+                split = k - 1
+            else:
+                split = int(rng.integers(1, k))
+            todo += [0, k - split, split]
+    return b.done(built[0][0])
 
 
 def tree_stats(t: TreeInstance) -> dict[str, int]:

@@ -37,9 +37,6 @@ A group under `_BATCH_MIN` frames runs its segment as one generated function
 per frame (`kernels.compile_segment`, made on the segment's first such group
 and kept on its body): the members run in the member loop's order on plain
 arrays, and only values read outside the segment are written to the frame.
-A segment with a member heavy enough to hand to a worker thread at
-some group size under `_BATCH_MIN` (a stall) keeps the member loop, so the
-thread count never changes which path a group takes.
 
 `run_batch` runs several instances of a graph in one wavefront: their
 frames at the same unit share groups, so a batch of narrow trees fills the
@@ -51,19 +48,6 @@ A frame holds each value as a read-only float64 array, a `RowTable`, a
 `run_batch`'s boundary, which unwraps feeds and parameters and wraps fetched
 arrays without a copy. Each gradient sink entry sums in a private array
 (see `kernels.sink_put`), so no frame value is ever written.
-
-The thread that called `run` owns all bookkeeping: it forms the groups,
-counts down dependents, expands control nodes, adds to the gradient sinks,
-and returns finished frames to their parents. Only kernel computation is
-handed out: with more than one thread, the members of a wave whose
-estimated work outweighs a thread handoff (large matrix products, stalls)
-are submitted to the run's `ThreadPoolExecutor`, made on the first such wave
-and shut down when the run ends; the scheduler thread computes the first
-member and any that no worker has started. Smaller kernels run where they
-are, since they hold the interpreter lock throughout. Trace rows from every
-thread go to one list. Group composition and order follow from the graph
-and the inputs alone, never from which worker finished first, so results
-are bit-identical for every thread count.
 
 Invoke and Cond never block: they create child frames whose source nodes
 join the next round. What a call node fixes for every frame it creates on
@@ -96,27 +80,23 @@ Each instance also holds a gradient sink: `sink_add` nodes add every
 gradient contribution to a top-level node (a parameter a body captures, say)
 to the instance's entry for that node, and a top-level `grad_out` node reads
 the entry once the gradient calls it waits on have returned. A sink add is a
-member of its source's segment and runs on the scheduler thread. In a
-batched group it reduces the source's stack once per instance, the group's
-frames permuted so that each instance's are contiguous, and adds one partial
-to each instance's entry. A parameter gradient's outer product that only
-the sink reads is fused into it: the sink sums the product over each
-instance's frames as one gemm of the stacked operands, so no frame's product
-is ever formed. A `scatter_row` that only the sink reads is fused the same
-way: the sink adds one row gradient per instance, its rows from that
-instance's contiguous frames. Smaller groups add frame by frame, a fused
-product straight from its operands. The summation order follows from the
-group alone, so results stay bit-identical for every thread count.
+member of its source's segment. In a batched group it reduces the source's
+stack once per instance, the group's frames permuted so that each instance's
+are contiguous, and adds one partial to each instance's entry. A parameter
+gradient's outer product that only the sink reads is fused into it: the sink
+sums the product over each instance's frames as one gemm of the stacked
+operands, so no frame's product is ever formed. A `scatter_row` that only the
+sink reads is fused the same way: the sink adds one row gradient per
+instance, its rows from that instance's contiguous frames. Smaller groups add
+frame by frame, a fused product straight from its operands. The summation
+order follows from the group alone.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, count, groupby
-from operator import itemgetter
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -125,8 +105,6 @@ from .kernels import Tables, bscatter, compile_segment, sink_put
 from .tensor import Tensor
 
 _PENDING = object()
-# The name prefix of a run's worker threads.
-_POOL_PREFIX = "rdg-pool"
 # Groups of fewer frames run frame by frame. Measured on d=16 models:
 # - a batch of k linear trees, whose every group holds k frames, ran batched
 #   at 1.08-1.32x the per-frame time for k=2, 0.77-1.01x for k=4 and
@@ -135,11 +113,6 @@ _POOL_PREFIX = "rdg-pool"
 #   top levels, were 5-10% faster with the cut-over at 8 than at 4;
 # - end-to-end training and inference did not move between 4 and 8.
 _BATCH_MIN = 8
-# Estimated multiply-adds (see kernels.compile_body) of a segment member over
-# its group above which it is worth handing to another thread; below it the
-# handoff costs more than the kernel, which holds the interpreter lock
-# throughout anyway.
-_OFFLOAD_WORK = float(1 << 20)
 
 
 class ExecutionError(RuntimeError):
@@ -150,7 +123,9 @@ class ExecutionError(RuntimeError):
 class RunOptions:
     """How to run a graph.
 
-    - `threads`: threads that compute large kernels; results are the same for any count.
+    - `threads`: accepted for callers that set it, and must be >= 1. The thread
+      that calls `run` computes every kernel, so neither results nor speed
+      depend on it.
     - `max_recursion_depth`: the most call sites above a frame. Each `invoke` and
       each `cond` counts one. The bundled tree models spend one on the top's call
       of `Model` and one per tree level (finalize runs Model's cond in `Internal`),
@@ -174,11 +149,10 @@ class RunResult:
     """Fetched values plus what the run observed about itself.
 
     `frames` counts the frames created per body name. `peak_concurrency`
-    (recorded only with `RunOptions(instrument=True)`) is the largest number
-    of (frame, node) pairs whose kernels were in flight at once, summed over
-    the run's threads: a segment member computing for a group of k frames
-    counts k, stacked or frame by frame. `trace` holds one row per executed
-    (frame, node) when tracing is on, in time order.
+    (recorded only with `RunOptions(instrument=True)`) is the largest group
+    of frames that a segment member ran for, stacked or frame by frame.
+    `trace` holds one row per executed (frame, node) when tracing is on, in
+    time order; its worker id is always 0.
     """
 
     values: list
@@ -255,26 +229,23 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "g", "top", "opts", "lock", "error", "watched", "open", "ready", "pool", "in_flight",
-        "peak", "trace", "tracing", "stacked", "tops", "tables",
+        "g", "top", "opts", "error", "watched", "open", "ready", "peak", "trace", "tracing",
+        "stacked", "tops", "tables",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
         self.g = g
         self.top = g.top
         self.opts = opts
-        self.lock = threading.Lock()  # guards in_flight/peak across threads
         self.error: tuple | None = None
         self.watched: set[int] = set()
         self.open = 0  # instances with fetches still unresolved
         # (body, unit) -> frames ready there for the next round, in the
-        # order the scheduler thread readied them
+        # order they were readied
         self.ready: dict = {}
-        self.pool: ThreadPoolExecutor | None = None  # started on the first offload
-        self.in_flight = 0
         self.peak = 0
         self.tracing = opts.trace
-        self.trace: list = []  # rows from every thread; `extend` holds the interpreter lock
+        self.trace: list = []
         self.stacked = False  # whether a frame's value may lie in a group record
         self.tops: list = []  # each instance's top frame
         # top-level node id -> the instances' tables it holds, joined (see
@@ -285,10 +256,10 @@ class _RunState:
         if self.error is None:
             self.error = (exc, _key_str(frame), nid, frame.body.kinds[nid])
 
-    def record(self, wid: int, body, nid: int, frames):
+    def record(self, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
         label = _op_label(body, nid)
-        self.trace.extend([(ts, wid, f.path, nid, label) for f in frames])
+        self.trace.extend([(ts, 0, f.path, nid, label) for f in frames])
 
 
 def _op_label(body, nid: int) -> str:
@@ -304,7 +275,7 @@ def _op_label(body, nid: int) -> str:
     return k
 
 
-# -- bookkeeping (scheduler thread only) -----------------------------------
+# -- bookkeeping -------------------------------------------------------------
 
 
 def _settle(state: _RunState, body, u: int, frames):
@@ -663,7 +634,7 @@ def _sink_read(sink: dict, nid: int, shape):
 
 
 def _run_control(state: _RunState, body, nid: int, frames):
-    """Control nodes: per frame, on the scheduler thread."""
+    """Control nodes: per frame."""
     kind = body.kinds[nid]
     if kind == "invoke":
         _spawn(state, _call_site(state, body, nid), frames, nid)
@@ -678,7 +649,7 @@ def _run_control(state: _RunState, body, nid: int, frames):
         _settle(state, body, body.unit_of[nid], frames)
 
 
-# -- segments (kernels on any thread) --------------------------------------
+# -- segments ----------------------------------------------------------------
 
 
 class _Group:
@@ -865,7 +836,7 @@ def _unresolved(body, u: int, frames):
     return None
 
 
-def _compute(state: _RunState, body, nid: int, frames, grp, wid: int):
+def _compute(state: _RunState, body, nid: int, frames, grp):
     """Compute segment member `nid` for a group: None, or (exception, frame)
     for the first frame that failed.
 
@@ -876,44 +847,33 @@ def _compute(state: _RunState, body, nid: int, frames, grp, wid: int):
     the rows of the inputs that lie in stacks.
     """
     if state.tracing:
-        state.record(wid, body, nid, frames)
-    k = len(frames)
-    opts = state.opts
-    if opts.instrument:
-        with state.lock:
-            state.in_flight += k
-            state.peak = max(state.peak, state.in_flight)
-    try:
-        sink = body.sinks[nid]
-        if sink is not None:
-            return _sink_add(state, body, nid, sink, frames, grp)
-        batched = None if grp is None else body.batched[nid]
-        if batched is not None:
-            ids = body.inputs[nid]
-            try:
-                t = ids[0]
-                if body.kinds[nid] == "gather_row" and body.shared[t] and not body.run_wide[t]:
-                    ops = [_tables(state, body, t, frames, grp)]
-                    ops += _operands(body, ids[1:], frames, grp)
-                else:
-                    ops = _operands(body, ids, frames, grp)
-                grp.stacks[nid] = _stack(batched(*ops), k)
-                return None
-            except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
-                pass
-        if grp is not None or state.stacked:
-            _unstack(body.inputs[nid], frames, grp)
-        kernel = body.kernels[nid]
-        for f in frames:
-            try:
-                f.values[nid] = kernel(f.values)
-            except Exception as exc:  # noqa: BLE001 - reported with full context
-                return exc, f
-        return None
-    finally:
-        if opts.instrument:
-            with state.lock:
-                state.in_flight -= k
+        state.record(body, nid, frames)
+    sink = body.sinks[nid]
+    if sink is not None:
+        return _sink_add(state, body, nid, sink, frames, grp)
+    batched = None if grp is None else body.batched[nid]
+    if batched is not None:
+        ids = body.inputs[nid]
+        try:
+            t = ids[0]
+            if body.kinds[nid] == "gather_row" and body.shared[t] and not body.run_wide[t]:
+                ops = [_tables(state, body, t, frames, grp)]
+                ops += _operands(body, ids[1:], frames, grp)
+            else:
+                ops = _operands(body, ids, frames, grp)
+            grp.stacks[nid] = _stack(batched(*ops), len(frames))
+            return None
+        except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
+            pass
+    if grp is not None or state.stacked:
+        _unstack(body.inputs[nid], frames, grp)
+    kernel = body.kernels[nid]
+    for f in frames:
+        try:
+            f.values[nid] = kernel(f.values)
+        except Exception as exc:  # noqa: BLE001 - reported with full context
+            return exc, f
+    return None
 
 
 def _unstack(ids, frames, grp):
@@ -1032,50 +992,13 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
 
 def _run_members(state: _RunState, body, waves, frames, grp):
     """Compute a segment's members wave by wave: None, or (exception, frame,
-    node id) for the first that failed. With more than one thread, a wave's
-    heavy members are shared among the run's threads. Sink adds have no work
-    and the products fused into them are in no wave, so both stay here."""
-    k = len(frames)
-    offload = state.opts.threads > 1
+    node id) for the first that failed."""
     for wave in waves:
-        done = None
-        if offload and len(wave) > 1:
-            heavy = [m for m in wave if k * body.work[m] >= _OFFLOAD_WORK]
-            if len(heavy) > 1:
-                tasks = [(body, m, frames, grp) for m in heavy]
-                done = dict(zip(heavy, _compute_all(state, tasks)))
         for m in wave:
-            if done is not None and m in done:
-                err = done[m]
-            else:
-                err = _compute(state, body, m, frames, grp, 0)
+            err = _compute(state, body, m, frames, grp)
             if err is not None:
                 return err[0], err[1], m
     return None
-
-
-_WORKER = threading.local()  # `id`: a pool thread's worker id in trace rows
-
-
-def _offloaded(state: _RunState, body, nid: int, frames, grp):
-    return _compute(state, body, nid, frames, grp, _WORKER.id)
-
-
-def _compute_all(state: _RunState, tasks: list) -> list:
-    """Run (body, node, frames, group) members at once, spread over the
-    run's pool, started on the first call; returns their `_compute` results
-    in order. A task that no worker has started yet runs here."""
-    if state.pool is None:
-        ids = count(1)
-        state.pool = ThreadPoolExecutor(
-            state.opts.threads - 1, _POOL_PREFIX,
-            initializer=lambda: setattr(_WORKER, "id", next(ids)),
-        )
-    futures = [state.pool.submit(_offloaded, state, *t) for t in tasks[1:]]
-    results = [_compute(state, *tasks[0], 0)]
-    for f, task in zip(futures, tasks[1:]):
-        results.append(_compute(state, *task, 0) if f.cancel() else f)
-    return [r.result() if isinstance(r, Future) else r for r in results]
 
 
 def _run_compiled(state: _RunState, body, u: int, seg, frames):
@@ -1089,13 +1012,7 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
     """
     if state.tracing:
         for m in seg.members:
-            state.record(0, body, m, frames)
-    k = len(frames)
-    opts = state.opts
-    if opts.instrument:
-        with state.lock:
-            state.in_flight += k
-            state.peak = max(state.peak, state.in_flight)
+            state.record(body, m, frames)
     if state.stacked:
         _unstack(seg.reads, frames, None)
     later = tuple([] for _ in seg.deferred)
@@ -1109,33 +1026,21 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
     except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
         err = _run_members(state, body, body.waves[u], frames, None)
         return err if err is not None else (exc, frames[0], seg.members[0])
-    finally:
-        if opts.instrument:
-            with state.lock:
-                state.in_flight -= k
     return None
 
 
 def _compiled(body, u: int):
-    """Segment u's compiled form, made on first use, or False if a member
-    may stall (estimated work large enough to hand to a worker thread, as
-    `_run_members` does, at some group size under `_BATCH_MIN`)."""
+    """Segment u's compiled form, made on first use (False where a test has
+    set it to run the member loop)."""
     seg = body.compiled[u]
     if seg is None:
-        stall = any(
-            body.work[m] * (_BATCH_MIN - 1) >= _OFFLOAD_WORK for w in body.waves[u] for m in w
-        )
-        seg = body.compiled[u] = False if stall else compile_segment(body, u)
+        seg = body.compiled[u] = compile_segment(body, u)
     return seg
 
 
 def _round(state: _RunState):
-    """Run every unit group that became ready in the previous round.
-
-    Groups settle in the order they became ready, whichever thread computed
-    their members, so the next round's groups are the same for every thread
-    count.
-    """
+    """Run every unit group that became ready in the previous round, in the
+    order they became ready."""
     groups = state.ready
     state.ready = {}
     for (body, u), frames in groups.items():
@@ -1148,11 +1053,13 @@ def _round(state: _RunState):
         if waves is None:
             nid = body.unit_nodes[u][0]
             if state.tracing:
-                state.record(0, body, nid, frames)
+                state.record(body, nid, frames)
             _run_control(state, body, nid, frames)
             if state.error is not None:
                 return
             continue
+        if state.opts.instrument:
+            state.peak = max(state.peak, len(frames))
         if len(frames) >= _BATCH_MIN:
             grp = _Group()
             error = _run_members(state, body, waves, frames, grp)
@@ -1194,7 +1101,7 @@ def run_batch(
     round share a group, so a batch of narrow trees still fills stacked
     kernels. Each instance keeps its own frames and gradient sink;
     parameters are shared. Results for an instance depend only on the graph
-    and the batch it is run in, never on the thread count. Every result
+    and the batch it is run in. Every result
     carries the whole batch's peak concurrency and trace.
     """
     opts = opts or RunOptions()
@@ -1259,20 +1166,13 @@ def run_batch(
         state.ready[(top, u)] = tops.copy()
 
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
-    try:
-        while state.open and state.ready and state.error is None:
-            if deadline is not None and time.monotonic() > deadline:
-                raise ExecutionError(f"run timed out after {opts.timeout_s}s")
-            _round(state)
-    finally:
-        if state.pool is not None:
-            state.pool.shutdown(cancel_futures=True)
+    while state.open and state.ready and state.error is None:
+        if deadline is not None and time.monotonic() > deadline:
+            raise ExecutionError(f"run timed out after {opts.timeout_s}s")
+        _round(state)
     if state.error is not None:
         exc, key, nid, kind = state.error
         raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
-    trace = state.trace
-    if state.pool is not None:  # each thread's rows are in time order, not their mix
-        trace.sort(key=itemgetter(0, 1))
     results = []
     for frame in tops:
         values = frame.values
@@ -1289,7 +1189,7 @@ def run_batch(
                 ],
                 frames=frame.inst.frames,
                 peak_concurrency=state.peak,
-                trace=trace,
+                trace=state.trace,
             )
         )
     return results

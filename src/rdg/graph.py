@@ -929,7 +929,6 @@ class CompiledBody:
         "batched",
         "compiled",
         "call_sites",
-        "work",
         "shared",
         "run_wide",
         "exposed",
@@ -995,7 +994,7 @@ class CompiledBody:
                 initial.add(nd.id)
         self.outputs = list(g.outputs)
         self.nodes = g.nodes  # for compiling segments on first use
-        self.kernels, self.batched, self.work, rows = kernels.compile_body(g)
+        self.kernels, self.batched, rows = kernels.compile_body(g)
         # Cut the body into units. Each control node is one, joined by the
         # result slots of its further outputs, so a unit lists a call's
         # outputs in order. The compute nodes whose non-init inputs lead back
@@ -1083,9 +1082,9 @@ class CompiledBody:
         # that only the sink reads is fused into it: the sink sums the
         # product over each instance's frames as one gemm of the operands,
         # and the source leaves the waves, so no frame's product is ever
-        # computed, nor handed to a worker. A `scatter_row` source that only
-        # the sink reads is fused the same way: a batched group adds one row
-        # gradient per instance, built from the stacked operands. The top
+        # computed. A `scatter_row` source that only the sink reads is fused
+        # the same way: a batched group adds one row gradient per instance,
+        # built from the stacked operands. The top
         # level keeps its sources, since any of its nodes may be fetched.
         # Any other source whose value is never dense is added frame by
         # frame in every group.
@@ -1134,7 +1133,7 @@ class CompiledBody:
         self.unit_nodes = [tuple(ms) for ms in members]
         # per unit: its members in waves, None for a control node; and its
         # `kernels.CompiledSegment`, made when a group under the executor's
-        # batching cut-over first runs it (False: it runs its member loop)
+        # batching cut-over first runs it
         self.waves = [w and tuple(tuple(ms) for ms in w if ms) for w in waves]
         self.compiled = [None] * len(members)
         # (call node, branch) -> the executor's record of that call site,

@@ -40,7 +40,6 @@ freezes only the arrays it writes to the frame.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 import time
 from typing import Callable, NamedTuple
@@ -51,8 +50,8 @@ from .tensor import index_of, softmax_cross_entropy
 from . import graph as _g
 
 CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "grad_out"})
-# Kernels that only sum values the frame already holds: they are never worth
-# handing to another thread. No kernel only moves values: a call's outputs go
+# Kernels that only sum values the frame already holds, which the benchmark
+# counts as plumbing. No kernel only moves values: a call's outputs go
 # straight into its result slots.
 PLUMBING_KINDS = frozenset({"grad_accum"})
 INIT_KINDS = frozenset(
@@ -77,8 +76,8 @@ def _unary_fn(tag):
     if tag == "square":
         return np.square
     if isinstance(tag, tuple) and tag and tag[0] == "sleep":
-        # identity with a fixed stall; used by scheduling tests and benches
-        # to make op overlap observable on a wall clock.
+        # identity with a fixed stall; used by scheduling tests to make a
+        # run's wall time observable.
         sec = tag[1]
 
         def slow_id(x, sec=sec):
@@ -294,23 +293,17 @@ def _lenient(mirrors, node) -> bool:
     return (mirrors is not None or node.grad_flag) and node.kind != "grad_accum"
 
 
-def compile_body(g) -> tuple[list, list, list, list]:
-    """Per node id: the per-frame kernel, its batched variant, its work, and
-    whether its value is never dense (see `row_valued`).
+def compile_body(g) -> tuple[list, list, list]:
+    """Per node id: the per-frame kernel, its batched variant, and whether
+    its value is never dense (see `row_valued`).
 
-    Control, init, result and sink nodes get None, None, 0, so a sink add,
-    which writes its instance's sink, never leaves the scheduler thread.
-    Nodes whose values are row tables or row gradients have no batched
-    variant: their values never stack. The work is a rough count of
-    multiply-adds per frame (inf for a stall): the scheduler hands a node's
-    kernel for a group to another thread only when that is large enough to
-    outweigh the handoff, since small numpy kernels hold the interpreter lock
-    throughout.
+    Control, init, result and sink nodes get None, None: the scheduler runs
+    them itself. Nodes whose values are row tables or row gradients have no
+    batched variant: their values never stack.
     """
     n = len(g.nodes)
     fns: list = [None] * n
     batched: list = [None] * n
-    work: list = [0.0] * n
     rows = row_valued(g)
     for node in g.nodes:
         k = node.kind
@@ -322,9 +315,7 @@ def compile_body(g) -> tuple[list, list, list, list]:
         fns[node.id] = fn
         if not rows[node.id]:
             batched[node.id] = _build_batched(node)
-        if node.kind not in PLUMBING_KINDS:
-            work[node.id] = _work(g, node)
-    return fns, batched, work, rows
+    return fns, batched, rows
 
 
 def row_valued(g) -> list[bool]:
@@ -338,19 +329,6 @@ def row_valued(g) -> list[bool]:
             or (node.kind == "grad_accum" and any(rows[i] for i in node.inputs))
         )
     return rows
-
-
-def _work(g, node) -> float:
-    shape = node.shape
-    work = float((shape.rows or 1) * shape.cols) if isinstance(shape, _g.Shape) else 1.0
-    tag = node.payload if node.kind in ("unary", "binary") else None
-    if node.kind == "matmul" or tag == "matmul_nt":
-        return work * g.nodes[node.inputs[0]].shape.cols
-    if tag == "matmul_tn":
-        return work * (g.nodes[node.inputs[0]].shape.rows or 1)
-    if isinstance(tag, tuple) and tag[0] == "sleep":
-        return math.inf
-    return work
 
 
 # -- batched variants ------------------------------------------------------

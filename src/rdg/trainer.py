@@ -4,9 +4,10 @@ A batch of `batch_size` instances runs as one `run_batch` wavefront: each
 instance keeps its own feeds, frames and gradient sink, and their
 frames ready at the same node share one stacked kernel. Gradients come back
 per instance and are summed in batch order, and the optimizer update runs
-between steps on the calling thread. Which frames share a kernel follows
-from the batch's trees alone, so results are bit-identical for any thread
-count.
+between steps. Which frames share a kernel follows from the batch's trees
+alone. The `threads` arguments are accepted and must be >= 1; the executor
+computes every kernel on the calling thread, so neither results nor speed
+depend on them.
 
 The embedding gradient arrives as sparse per-row contributions; AdaGrad
 applies it row-wise (summing duplicate rows first-seen-first) so optimizer
@@ -55,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.lr < 0 or self.l2 < 0:

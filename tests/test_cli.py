@@ -7,7 +7,6 @@ from rdg.bench import (
     BENCH_HEADER,
     BenchRow,
     bench_scaling,
-    bench_threads,
     read_bench_csv,
     scaling_ratios,
     write_bench_csv,
@@ -55,17 +54,6 @@ class TestBenchCsv:
 
 
 class TestBenchSuites:
-    def test_threads_suite_rows(self):
-        rows = bench_threads(d=4, leaves=4, thread_counts=(1, 2), warmup=1, runs=3)
-        assert len(rows) == 2
-        assert [r.threads for r in rows] == [1, 2]
-        for r in rows:
-            assert r.suite == "threads"
-            assert r.shape == "balanced"
-            assert r.n_instances == 3
-            assert r.instances_per_s > 0
-            assert r.p95_ms >= r.median_ms > 0
-
     def test_scaling_suite_rows_and_ratio(self):
         rows = bench_scaling(d=4, sizes=(7, 15), threads=2, warmup=1, runs=3)
         assert len(rows) == 4  # two modes x two sizes
@@ -103,6 +91,14 @@ class TestArgumentDefaults:
     def test_train_requires_data(self):
         with pytest.raises(SystemExit) as e:
             main(["train"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize("cmd", [
+        ["train", "--data", "x.txt"], ["infer", "--ckpt", "c.json", "--data", "x.txt"],
+    ])
+    def test_threads_below_one_is_usage_error(self, cmd):
+        with pytest.raises(SystemExit) as e:
+            main(cmd + ["--threads", "0"])
         assert e.value.code == 2
 
 
@@ -209,21 +205,13 @@ class TestInferCommand:
 
 
 class TestBenchCommand:
-    def test_threads_suite_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
-        rc = main(["bench", "--suite", "threads", "--leaves", "4", "--hidden", "4",
-                   "--runs", "2", "--warmup", "1", "--out", str(out)])
-        assert rc == 0
-        rows = read_bench_csv(out)
-        assert len(rows) == 4  # thread counts 1, 2, 4, 8
-        assert capsys.readouterr().out.count("median") == 4
-
     def test_trace_env_writes_trace(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RDG_TRACE", "1")
         out = tmp_path / "report.csv"
-        rc = main(["bench", "--suite", "threads", "--leaves", "4", "--hidden", "4",
+        rc = main(["bench", "--suite", "balancedness", "--leaves", "4", "--hidden", "4",
                    "--runs", "1", "--warmup", "0", "--out", str(out)])
         assert rc == 0
+        assert len(read_bench_csv(out)) == 9  # three shapes x batches 1/10/25
         trace = tmp_path / "report.trace.csv"
         lines = trace.read_text().splitlines()
         assert lines[0] == "timestamp_us,worker_id,key,node_id,op_kind"

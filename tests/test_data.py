@@ -1,5 +1,8 @@
 """Tree parsing, synthesis, and statistics."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,3 +171,33 @@ class TestWriteCorpus:
         data.write_corpus(p, insts, v)
         loaded = data.load_corpus(p, v, grow=False)
         assert loaded == insts
+
+    def test_deep_linear_tree_round_trips_at_default_recursion_limit(self, tmp_path):
+        # Generation, writing and parsing are iterative, so their depth is
+        # not bounded by the interpreter's recursion limit (1000 by default).
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            (t,) = data.generate_dataset("linear", 4000, 1, 20, 2, seed=1)
+            v = data.synthetic_vocab(20)
+            p = tmp_path / "deep.txt"
+            data.write_corpus(p, [t], v)
+            loaded = data.load_corpus(p, v, grow=False)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert t.n_leaves == 4000 and data.tree_stats(t)["depth"] == 3999
+        assert loaded == [t]
+
+    @pytest.mark.parametrize("shape, leaves, digest", [
+        ("balanced", 16, "ddc1cfb76033fbb04832421a7d2fa6856d6b0bf5dc39549556bee4efeac934fb"),
+        ("moderate", 23, "61045924a8c8c8f29f07c579e20c5ee3f54c6a1315687df394f208773a5cc03e"),
+        ("linear", 23, "7c64a01af8b62d0ac877adb8f6321be2a3fe2c4ca05b2923175b08d261a66f7b"),
+    ])
+    def test_generated_corpus_text_is_pinned(self, shape, leaves, digest):
+        # The benchmark writes its corpora with these functions: the same
+        # seed must keep giving the same rng draws in the same order, so
+        # the same text.
+        v = data.synthetic_vocab(20)
+        insts = data.generate_dataset(shape, leaves, 20, 20, 3, seed=11)
+        text = "".join(data.serialize(t, v) + "\n" for t in insts)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -280,32 +280,9 @@ class TestRecursionMechanics:
 
 
 class TestOverlap:
-    def test_diamond_overlap_wall_clock(self):
-        def build():
-            g = Graph()
-            a = g.placeholder((1, 1), "a")
-            b = g.unary(a, ("sleep", 0.05))
-            c = g.unary(a, ("sleep", 0.05))
-            d = g.add(b, c)
-            return g.finalize(), d
-
-        fg, d = build()
-        feeds = {"a": Tensor.scalar(1.0)}
-
-        t0 = time.monotonic()
-        run(fg, feeds, [d], RunOptions(threads=1))
-        serial = time.monotonic() - t0
-
-        t0 = time.monotonic()
-        run(fg, feeds, [d], RunOptions(threads=2))
-        overlapped = time.monotonic() - t0
-
-        assert serial >= 0.099  # two sleeps back to back
-        assert overlapped < 0.09  # b and c overlapped
-
     def test_parallel_leaves_through_recursion(self):
         # Bin(n): n > 0.5 -> two recursive calls then merge; else a slow leaf.
-        # With 8 workers and 8 leaves all 8 stalls should overlap.
+        # The 8 leaves are ready in one round, so they run as one group.
         g = Graph()
         f = g.declare_subgraph("Bin", *scalar_sig())
         leaf = g.declare_subgraph("Leaf", *scalar_sig())
@@ -566,15 +543,23 @@ class TestRunBatch:
         peak_mb = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mb < 1536, f"peak resident memory {peak_mb:.0f} MB"
 
-    def test_bit_identical_when_workers_compute_groups(self):
-        # At d=256 the gate products of a round are large enough to be handed
-        # to worker threads; groups and their order still follow from the
-        # graph and the trees alone, so the results match one thread bit for
-        # bit.
+    def test_bit_identical_at_any_thread_count_and_no_thread_starts(self, monkeypatch):
+        # At d=256 the gate products of a round are large; the calling thread
+        # still computes every kernel, whatever `threads` says, and groups and
+        # their order follow from the graph and the trees alone, so the
+        # results match one thread bit for bit.
         g, gm, params, trees, feeds, fetches = _mixed_batch(256)
         one = run_batch(g, feeds, fetches, RunOptions(threads=1), params)
-        three = run_batch(g, feeds, fetches, RunOptions(threads=3, trace=True), params)
-        assert any(row[1] != 0 for row in three[0].trace), "no group ran on a worker"
+        started = []
+        start = threading.Thread.start
+
+        def counted(t):
+            started.append(t)
+            start(t)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        three = run_batch(g, feeds, fetches, RunOptions(threads=3), params)
+        assert not started, "a run started a thread"
         for r1, r3 in zip(one, three):
             for a, b in zip(r1.values, r3.values):
                 assert np.array_equal(_dense(a), _dense(b))
@@ -1038,23 +1023,10 @@ class TestCompiledSegments:
         assert msgs["gradient"][0] == msgs["gradient"][1]
         assert re.match(r"node \d+ \(binary\) at key [\d/]+: tanh_bwd failed", msgs["gradient"][0])
 
-    def test_segment_with_a_stall_is_not_compiled(self):
-        # Step's sleeps count as work to hand to a worker, at any group size,
-        # so its segment runs the member loop; Base's segment is compiled.
-        fg, y = _stalling_countdown(0.0)
-        res = run(fg, {"x": Tensor.scalar(2.0), "i": Tensor.scalar(1.0)}, [y])
-        assert res.values[0].item() == 2.0
-        step, base = fg.bodies["Step"], fg.bodies["Base"]
-        sleep = step.kinds.index("unary")
-        assert step.compiled[step.unit_of[sleep]] is False
-        (seg,) = [c for c in base.compiled if c]
-        assert base.kinds.index("gather_row") in seg.members
-
 
 def _stalling_countdown(stall: float):
     """F(n) counts n down to Base, which adds row `i` of a 3x1 table. Each
-    Step stalls in two independent sleeps, which a run with two threads
-    hands to its worker."""
+    Step stalls in two independent sleeps."""
     g = Graph()
     f = g.declare_subgraph("F", *scalar_sig())
     step = g.declare_subgraph("Step", *scalar_sig())
@@ -1081,27 +1053,9 @@ def _stalling_countdown(stall: float):
 
 
 class TestStop:
-    """A failed or timed-out run stops within a bound and joins its workers."""
+    """A failed or timed-out run stops within a bound."""
 
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        started = []
-        start = threading.Thread.start
-
-        def counted(t):
-            if t.name.startswith(executor._POOL_PREFIX):
-                started.append(t)
-            start(t)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        before = set(threading.enumerate())
-        yield started
-        after = set(threading.enumerate())
-        assert started  # the stalls were offloaded
-        assert after <= before
-        assert not [t for t in started if t.is_alive()]
-
-    def test_timeout_stops_the_run(self, workers):
+    def test_timeout_stops_the_run(self):
         fg, y = _stalling_countdown(0.02)
         feeds = {"x": Tensor.scalar(100.0), "i": Tensor.scalar(0.0)}  # 2 s of stalls
         t0 = time.monotonic()
@@ -1109,7 +1063,7 @@ class TestStop:
             run(fg, feeds, [y], RunOptions(threads=2, timeout_s=0.2))
         assert time.monotonic() - t0 < 1.0
 
-    def test_kernel_error_in_one_instance_stops_the_batch(self, workers):
+    def test_kernel_error_in_one_instance_stops_the_batch(self):
         fg, y = _stalling_countdown(0.02)
         feeds = [
             {"x": Tensor.scalar(5.0), "i": Tensor.scalar(0.0)},

@@ -221,6 +221,10 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match="step 0"):
             train(model, params, corpus, TrainConfig(epochs=1, batch_size=4, lr=0.05))
 
+    def test_threads_below_one_rejected(self):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            TrainConfig(threads=0)
+
     def test_empty_corpus_rejected(self):
         cfg = ModelConfig("treernn", d=4, vocab=11, classes=2)
         model = build_recursive(cfg)
