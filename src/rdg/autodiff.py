@@ -43,6 +43,7 @@ from .graph import (
     Shape,
     SubGraphRef,
     _target_names,
+    _toposort,
 )
 from .tensor import Tensor
 
@@ -267,30 +268,16 @@ def _sweep_order(ctx: _Context) -> list[int]:
     must respect those edges too.
     """
     fwd = ctx.fwd
-    n = len(fwd.nodes)
-    consumers: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
+    srcs = []
     for node in fwd.nodes:
-        srcs = set(node.inputs)
+        ins = set(node.inputs)
         for tname in _target_names(node):
             body = ctx.synth.registry[tname].body
             if body is not None:
-                for c in body.capture_order:
-                    if c.graph is fwd:
-                        srcs.add(c.id)
-        for i in srcs:
-            consumers[i].append(node.id)
-            indeg[node.id] += 1
-    stack = [i for i in range(n - 1, -1, -1) if indeg[i] == 0]
-    order: list[int] = []
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in consumers[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    if len(order) != n:
+                ins.update(c.id for c in body.capture_order if c.graph is fwd)
+        srcs.append(ins)
+    order, cyclic = _toposort(srcs)
+    if cyclic:
         raise BuildError(f"cycle while ordering {fwd.label!r} for differentiation")
     return order
 

@@ -139,6 +139,9 @@ def cmd_bench(args) -> int:
             f"threads={r.threads}: median {r.median_ms:.2f} ms, "
             f"p95 {r.p95_ms:.2f} ms, {r.instances_per_s:.1f} inst/s"
         )
+    if args.suite == "scaling":
+        for mode, ratio in sorted(bench_mod.scaling_ratios(rows).items()):
+            print(f"T(max)/T(min) for {mode}: {ratio:.2f}x")
     if os.environ.get("RDG_TRACE") == "1":
         trace_path = Path(args.out).with_suffix(".trace.csv")
         rng = np.random.default_rng(args.seed)

@@ -8,14 +8,14 @@ during round r (their last input unit ran) run in round r+1.
 Within a round, the ready (frame, unit) pairs that share a body and a unit
 form one group: all `Leaf` frames at one depth, say, or all `Internal`
 frames whose children returned together. A segment runs for its group in
-one call, member by member in waves of independent members. From
-`_BATCH_MIN` frames up each member runs as one stacked numpy kernel over the
-k per-frame values (the batched variants in `kernels.py`), and its result
-stays one read-only stack. Smaller groups run it frame by frame.
-Independent subtrees thus cost one call per segment and level rather than
-one per node and frame, which is how the recursive form turns a wide
-frontier into less work even where a global interpreter lock serialises
-small numpy ops.
+one call, member by member in node-id order. From `_BATCH_MIN` frames up
+each member runs as one stacked numpy kernel over the k per-frame values
+(the batched variants in `kernels.py`), and its result stays one read-only
+stack. Smaller groups run it frame by frame. Independent subtrees thus cost
+one call per segment and round rather than one per node and frame, which is
+how the recursive form turns a wide frontier into less work even where a
+global interpreter lock serialises small numpy ops. A run ends when no unit
+is ready; a fetch still pending then means the run stalled.
 
 Batched values stay in their stacks. After a batched segment, the stacks of
 the members that something outside it reads (`exposed`) stay on a group
@@ -165,7 +165,7 @@ class _Instance:
     """One fed instance of a run: its gradient sink, counts and frame
     templates."""
 
-    __slots__ = ("sink", "frames", "fetch_remaining", "templates", "n")
+    __slots__ = ("sink", "frames", "templates", "n")
 
     def __init__(self, n: int):
         self.n = n  # its position in the batch
@@ -176,7 +176,6 @@ class _Instance:
         # instance's top-level captures set, everything else pending
         self.templates = {}
         self.frames = {"top": 1}  # frames created per body name
-        self.fetch_remaining = 0
 
 
 class _Frame:
@@ -229,17 +228,13 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "g", "top", "opts", "error", "watched", "open", "ready", "peak", "trace", "tracing",
-        "stacked", "tops", "tables",
+        "g", "opts", "error", "ready", "peak", "trace", "tracing", "stacked", "tops", "tables",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
         self.g = g
-        self.top = g.top
         self.opts = opts
         self.error: tuple | None = None
-        self.watched: set[int] = set()
-        self.open = 0  # instances with fetches still unresolved
         # (body, unit) -> frames ready there for the next round, in the
         # order they were readied
         self.ready: dict = {}
@@ -319,12 +314,6 @@ def _settle(state: _RunState, body, u: int, frames):
                             done = [f]
                         else:
                             done.append(f)
-        fetched = body is state.top and sum(m in state.watched for m in body.unit_nodes[u])
-        if fetched:
-            for f in frames:
-                f.inst.fetch_remaining -= fetched
-                if not f.inst.fetch_remaining:
-                    state.open -= 1
         if done is not None:
             returns: dict = {}
             for f in done:
@@ -345,24 +334,26 @@ def _settle(state: _RunState, body, u: int, frames):
         body, u, frames = work.pop()
 
 
+# A value that `_return`, `_spawn` or `_run_cond` passes on and finds pending
+# lies in a stack, so they take only `_ref`'s first step: forward TreeRNN runs
+# of 64-leaf trees at batches 1-25 took 3-8% longer calling `_ref`. Its other
+# step, through a gradient frame's `fwd`, is never needed there, since
+# `differentiate` passes on as an argument or output only upstream gradients
+# and nodes it emits, never a forward value, and gradient bodies hold no `cond`.
+
+
 def _return(f: _Frame):
     """Write a completed frame's outputs into its parent's result slots; an
-    output that lies in a stack as that stack and row (see `_ref`)."""
+    output that lies in a stack as that stack and row."""
     pvals = f.parent.values
     vals = f.values
     for i, o, r, c in f.ret:
         x = vals[o]
         if x is _PENDING:
-            h = vals[r] if r >= 0 else None
-            if h is not None:  # `_ref`'s first step (see `_spawn`)
-                pvals[c] = _held(h, o)
-                pvals[c + 1] = vals[r + 1]
-                continue
-            x = _ref(f, o)
-            if type(x) is tuple:
-                pvals[c], pvals[c + 1] = x
-                continue
-        pvals[i] = x
+            pvals[c] = _held(vals[r], o)
+            pvals[c + 1] = vals[r + 1]
+        else:
+            pvals[i] = x
 
 
 def _ref(f: _Frame, i: int):
@@ -448,7 +439,9 @@ class _CallSite:
                 f"subgraph {self.name!r} expects {len(slots)} values "
                 f"(inputs plus captures), got {len(ids)}"
             )
-        self.shared = [(slot, i) for slot, i in zip(slots, ids) if body.shared[slot]]
+        self.shared = [
+            (slot, i, pbody.row_slot[i]) for slot, i in zip(slots, ids) if body.shared[slot]
+        ]
         self.own = [
             (slot, i, pbody.row_slot[i], body.row_slot[slot])
             for slot, i in zip(slots, ids) if not body.shared[slot]
@@ -518,27 +511,18 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
             template = inst.templates.get(body)
             if template is None:
                 template = inst.templates[body] = _template(body)
-                for slot, i in shared:
+                for slot, i, r in shared:
                     x = pvals[i]
-                    template[slot] = x if x is not _PENDING else _value(parent, i)
+                    template[slot] = x if x is not _PENDING else _held(pvals[r], i)[pvals[r + 1]]
         count += 1
         values = template.copy()
         for slot, i, r, c in own:
             x = pvals[i]
             if x is _PENDING:
-                # `_ref`'s first step, here and in `_return` and `_run_cond`:
-                # forward TreeRNN runs of 64-leaf trees at batches 1-25 took
-                # 3-8% longer calling `_ref` for every pending value
-                h = pvals[r] if r >= 0 else None
-                if h is not None:
-                    values[c] = _held(h, i)
-                    values[c + 1] = pvals[r + 1]
-                    continue
-                x = _ref(parent, i)
-                if type(x) is tuple:
-                    values[c], values[c + 1] = x
-                    continue
-            values[slot] = x
+                values[c] = _held(pvals[r], i)
+                values[c + 1] = pvals[r + 1]
+            else:
+                values[slot] = x
         child = _Frame(body, values, parent, nid, ret, site, depth, inst)
         if tracing:
             child.path = f"{parent.path}/{site}" if parent.parent else str(site)
@@ -584,15 +568,13 @@ def _run_cond(state, body, nid, frames):
         v = f.values
         x = v[pred]
         if x is _PENDING:
-            h = v[r] if r >= 0 else None
-            if h is not None:  # it lies in a stack
-                got = flags.get(id(h))
-                if got is None:
-                    got = flags[id(h)] = [abs(y) > 0.5 for y in _held(h, pred)[:, 0, 0].tolist()]
-                taken[got[v[r + 1]]].append(f)
-                continue
-            x = _value(f, pred)
-        taken[abs(x.item(0)) > 0.5].append(f)
+            h = v[r]
+            got = flags.get(id(h))
+            if got is None:
+                got = flags[id(h)] = [abs(y) > 0.5 for y in _held(h, pred)[:, 0, 0].tolist()]
+            taken[got[v[r + 1]]].append(f)
+        else:
+            taken[abs(x.item(0)) > 0.5].append(f)
     if taken[1]:
         _spawn(state, _call_site(state, body, nid, 1), taken[1], nid)
     if taken[0] and state.error is None:
@@ -990,14 +972,13 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
     return None
 
 
-def _run_members(state: _RunState, body, waves, frames, grp):
-    """Compute a segment's members wave by wave: None, or (exception, frame,
+def _run_members(state: _RunState, body, steps, frames, grp):
+    """Compute a segment's members in order: None, or (exception, frame,
     node id) for the first that failed."""
-    for wave in waves:
-        for m in wave:
-            err = _compute(state, body, m, frames, grp)
-            if err is not None:
-                return err[0], err[1], m
+    for m in steps:
+        err = _compute(state, body, m, frames, grp)
+        if err is not None:
+            return err[0], err[1], m
     return None
 
 
@@ -1024,7 +1005,7 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
             for sink, v in adds:
                 sink_put(sink, top, v, own)
     except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
-        err = _run_members(state, body, body.waves[u], frames, None)
+        err = _run_members(state, body, body.steps[u], frames, None)
         return err if err is not None else (exc, frames[0], seg.members[0])
     return None
 
@@ -1049,8 +1030,8 @@ def _round(state: _RunState):
             if bad is not None:
                 state.fail(*bad)
                 return
-        waves = body.waves[u]
-        if waves is None:
+        steps = body.steps[u]
+        if steps is None:
             nid = body.unit_nodes[u][0]
             if state.tracing:
                 state.record(body, nid, frames)
@@ -1062,7 +1043,7 @@ def _round(state: _RunState):
             state.peak = max(state.peak, len(frames))
         if len(frames) >= _BATCH_MIN:
             grp = _Group()
-            error = _run_members(state, body, waves, frames, grp)
+            error = _run_members(state, body, steps, frames, grp)
             if error is None:
                 _keep(state, body, u, frames, grp)
         else:
@@ -1070,7 +1051,7 @@ def _round(state: _RunState):
             if seg:
                 error = _run_compiled(state, body, u, seg, frames)
             else:
-                error = _run_members(state, body, waves, frames, None)
+                error = _run_members(state, body, steps, frames, None)
         if error is not None:
             state.fail(*error)
             return
@@ -1125,7 +1106,6 @@ def run_batch(
             raise ExecutionError(f"fetch id {i} out of range")
 
     state = _RunState(g, opts)
-    state.watched = set(fetch_ids)
     tops = []
     for feeds in feed_list:
         values = _template(top)
@@ -1157,16 +1137,13 @@ def run_batch(
                     f"parameter {name!r} has shape {v.rows}x{v.cols}, expected {shape}"
                 )
             values[nid] = v.a
-        frame.inst.fetch_remaining = sum(1 for i in state.watched if values[i] is _PENDING)
-        if frame.inst.fetch_remaining:
-            state.open += 1
         tops.append(frame)
     state.tops = tops
     for u in top.initial_ready:
         state.ready[(top, u)] = tops.copy()
 
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
-    while state.open and state.ready and state.error is None:
+    while state.ready and state.error is None:
         if deadline is not None and time.monotonic() > deadline:
             raise ExecutionError(f"run timed out after {opts.timeout_s}s")
         _round(state)
@@ -1175,17 +1152,15 @@ def run_batch(
         raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
     results = []
     for frame in tops:
-        values = frame.values
-        if frame.inst.fetch_remaining:
-            missing = sorted(i for i in state.watched if _ref(frame, i) is _PENDING)
-            raise ExecutionError(
-                f"run stalled: fetched node(s) {missing} never became ready"
-            )
+        xs = [_ref(frame, i) for i in fetch_ids]
+        missing = sorted({i for i, x in zip(fetch_ids, xs) if x is _PENDING})
+        if missing:
+            raise ExecutionError(f"run stalled: fetched node(s) {missing} never became ready")
         results.append(
             RunResult(
                 values=[
                     Tensor._wrap(v) if type(v) is np.ndarray else v
-                    for v in (_value(frame, i) for i in fetch_ids)
+                    for v in (x[0][x[1]] if type(x) is tuple else x for x in xs)
                 ],
                 frames=frame.inst.frames,
                 peak_concurrency=state.peak,

@@ -826,25 +826,32 @@ def _is_dispatcher(body: Graph) -> bool:
     return all(h.graph.parent is None for h in body.capture_order)
 
 
-def _check_dag(g: Graph):
-    n = len(g.nodes)
+def _toposort(srcs: list) -> tuple[list[int], list[int]]:
+    """Kahn's sort of nodes 0..n-1, where node j reads the ids in srcs[j]:
+    an order that puts each node after the nodes it reads, depth first from
+    the smallest id, and the ids a cycle leaves out, ascending."""
+    n = len(srcs)
     indeg = [0] * n
-    deps: list[list[int]] = [[] for _ in range(n)]
-    for node in g.nodes:
-        for i in node.inputs:
-            deps[i].append(node.id)
-            indeg[node.id] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while ready:
-        i = ready.pop()
-        seen += 1
-        for j in deps[i]:
+    consumers: list[list[int]] = [[] for _ in range(n)]
+    for j, ins in enumerate(srcs):
+        for i in ins:
+            consumers[i].append(j)
+            indeg[j] += 1
+    stack = [i for i in range(n - 1, -1, -1) if indeg[i] == 0]
+    order: list[int] = []
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        for j in consumers[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                ready.append(j)
-    if seen != n:
-        cyclic = [i for i in range(n) if indeg[i] > 0]
+                stack.append(j)
+    return order, [i for i in range(n) if indeg[i] > 0]
+
+
+def _check_dag(g: Graph):
+    cyclic = _toposort([node.inputs for node in g.nodes])[1]
+    if cyclic:
         raise BuildError(f"node-level cycle through nodes {cyclic} in {g.label!r}")
 
 
@@ -912,7 +919,7 @@ class CompiledBody:
         "inputs",
         "unit_of",
         "unit_nodes",
-        "waves",
+        "steps",
         "sole_dependents",
         "joint_dependents",
         "pending0",
@@ -1037,16 +1044,15 @@ class CompiledBody:
             unit_of[i] = u
             members[u].append(i)
         # Per unit: the units that wait on it, and how many units it waits
-        # on. Per node: how many nodes read it; whether something outside its
-        # segment reads it (another unit, the gradient, or a fetch from the
-        # top level); and its depth among its segment's members, which orders
-        # them in waves of independent members.
+        # on. Per node: how many nodes read it, and whether something outside
+        # its segment reads it (another unit, the gradient, or a fetch from
+        # the top level). Per unit: the members it computes, in node-id order,
+        # None for a control node.
         deps: list[list[int]] = [[] for _ in members]
         pending = [0] * len(members)
         readers = [0] * n
         self.exposed = exposed = [is_top] * n
-        level = [0] * n
-        waves = [None if self.kinds[ms[0]] in control else [] for ms in members]
+        steps = [None if self.kinds[ms[0]] in control else list(ms) for ms in members]
         for nd in g.nodes:
             i = nd.id
             u = unit_of[i]
@@ -1066,13 +1072,6 @@ class CompiledBody:
                     if u not in deps[v]:
                         deps[v].append(u)
                         pending[u] += 1
-                else:
-                    level[i] = max(level[i], level[j] + 1)
-            w = waves[u]
-            if w is not None:
-                if level[i] == len(w):
-                    w.append([])
-                w[level[i]].append(i)
         held = set(g.outputs).union(reads)
         for i in held:
             exposed[i] = True
@@ -1081,13 +1080,12 @@ class CompiledBody:
         # the source is not exposed for it. A `matmul_nt`/`matmul_tn` source
         # that only the sink reads is fused into it: the sink sums the
         # product over each instance's frames as one gemm of the operands,
-        # and the source leaves the waves, so no frame's product is ever
-        # computed. A `scatter_row` source that only the sink reads is fused
-        # the same way: a batched group adds one row gradient per instance,
-        # built from the stacked operands. The top
-        # level keeps its sources, since any of its nodes may be fetched.
-        # Any other source whose value is never dense is added frame by
-        # frame in every group.
+        # and the source leaves its unit's steps, so no frame's product is
+        # ever computed. A `scatter_row` source that only the sink reads is
+        # fused the same way: a batched group adds one row gradient per
+        # instance, built from the stacked operands. The top graph keeps its
+        # sources, since any of its nodes may be fetched. Any other source
+        # whose value is never dense is added frame by frame in every group.
         self.sinks = sinks = [None] * n
         for nd in g.nodes:
             if nd.kind != "sink_add":
@@ -1098,7 +1096,7 @@ class CompiledBody:
             if (tag in kernels.FUSED_SUMS or tag == "scatter_row") and not is_top and (
                 readers[src] == 1 and src not in held
             ):
-                waves[unit_of[src]][level[src]].remove(src)
+                steps[unit_of[src]].remove(src)
                 if tag == "scatter_row":
                     table = self.payloads[src]
                     fused = (kernels.scatter_fn(table), None, True, table)
@@ -1118,7 +1116,7 @@ class CompiledBody:
         self.row_slot = row_slot = [-1] * n
         self.unit_exposed = []
         for u, ms in enumerate(members):
-            seg = [m for m in ms if self.kinds[m] != "sink_add"] if waves[u] is not None else []
+            seg = [m for m in ms if self.kinds[m] != "sink_add"] if steps[u] is not None else []
             for m in seg:
                 row_slot[m] = n + 2 * u
             self.unit_exposed.append(tuple(m for m in seg if exposed[m]))
@@ -1131,10 +1129,9 @@ class CompiledBody:
                 at += 2
         self.pending_at = at
         self.unit_nodes = [tuple(ms) for ms in members]
-        # per unit: its members in waves, None for a control node; and its
-        # `kernels.CompiledSegment`, made when a group under the executor's
-        # batching cut-over first runs it
-        self.waves = [w and tuple(tuple(ms) for ms in w if ms) for w in waves]
+        # per unit: its steps; and its `kernels.CompiledSegment`, made when a
+        # group under the executor's batching cut-over first runs it
+        self.steps = [s and tuple(s) for s in steps]
         self.compiled = [None] * len(members)
         # (call node, branch) -> the executor's record of that call site,
         # made on its first use

@@ -483,7 +483,7 @@ class CompiledSegment(NamedTuple):
 
 def compile_segment(body, u: int) -> CompiledSegment:
     """Segment u of `body` as one generated function that runs all its
-    members for one frame, in the member loop's order (wave by wave).
+    members for one frame, in the member loop's order (`body.steps`).
 
     A member with array maths (`_dense_fn`) keeps its value as a local
     array; only members that something outside the segment reads
@@ -499,7 +499,7 @@ def compile_segment(body, u: int) -> CompiledSegment:
     bound into the generated namespace; the source holds only node ids and
     fixed text.
     """
-    members = tuple(m for wave in body.waves[u] for m in wave)
+    members = body.steps[u]
     nodes = body.nodes
     dense = {m: _dense_fn(nodes[m]) for m in members if body.sinks[m] is None}
     local = {m for m, f in dense.items() if f is not None}

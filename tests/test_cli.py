@@ -205,6 +205,17 @@ class TestInferCommand:
 
 
 class TestBenchCommand:
+    def test_scaling_suite_prints_ratio_per_mode(self, tmp_path, capsys):
+        out = tmp_path / "scaling.csv"
+        rc = main(["bench", "--suite", "scaling", "--hidden", "4", "--runs", "1", "--warmup", "0",
+                   "--mode", "recursive", "--mode", "iterative", "--out", str(out)])
+        assert rc == 0
+        ratios = scaling_ratios(read_bench_csv(out))
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-2:] == [
+            f"T(max)/T(min) for {mode}: {ratios[mode]:.2f}x" for mode in ("iterative", "recursive")
+        ]
+
     def test_trace_env_writes_trace(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RDG_TRACE", "1")
         out = tmp_path / "report.csv"

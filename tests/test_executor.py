@@ -102,6 +102,48 @@ class TestBasics:
         with pytest.raises(ExecutionError, match="expected 2x1"):
             run(fg, {"x": Tensor.scalar(1.0)}, [x])
 
+    def test_fetch_from_another_graph_rejected(self):
+        g, other = Graph(), Graph()
+        x = g.placeholder((1, 1), "x")
+        y = other.placeholder((1, 1), "y")
+        fg = g.finalize()
+        with pytest.raises(ExecutionError, match="does not belong to this graph"):
+            run(fg, {"x": Tensor.scalar(1.0)}, [x, y])
+
+    def test_fetch_by_node_id(self):
+        g = Graph()
+        x = g.placeholder((1, 1), "x")
+        y = g.neg(x)
+        fg = g.finalize()
+        assert run(fg, {"x": Tensor.scalar(2.0)}, [y.id]).values[0].item() == -2.0
+        with pytest.raises(ExecutionError, match="fetch id 2 out of range"):
+            run(fg, {"x": Tensor.scalar(2.0)}, [2])
+
+    def test_feed_must_be_a_tensor(self):
+        g = Graph()
+        x = g.placeholder((1, 1), "x")
+        fg = g.finalize()
+        with pytest.raises(ExecutionError, match="feed for 'x' must be a tensor"):
+            run(fg, {"x": np.ones((1, 1))}, [x])
+
+    def test_parameter_shape_checked(self):
+        g = Graph()
+        w = g.parameter("W", (2, 1))
+        fg = g.finalize()
+        with pytest.raises(ExecutionError, match="parameter 'W' has shape 1x1, expected 2x1"):
+            run(fg, {}, [w], params={"W": Tensor.scalar(1.0)})
+
+    def test_fetch_that_never_resolves_is_a_stall(self):
+        # With no unit ready at the start nothing runs, so the fetch stays
+        # pending when the run ends.
+        g = Graph()
+        x = g.placeholder((1, 1), "x")
+        y = g.neg(x)
+        fg = g.finalize()
+        fg.top.initial_ready = []
+        with pytest.raises(ExecutionError, match=rf"run stalled: fetched node\(s\) \[{y.id}\]"):
+            run(fg, {"x": Tensor.scalar(1.0)}, [x, y, y])
+
     def test_dynamic_row_feed_accepts_any_rows(self):
         g = Graph()
         x = g.placeholder((None, 1), "x")
@@ -653,6 +695,79 @@ class TestRunBatch:
         msg = rf"node {gather} \(gather_row\) at key {y.id}: row 9 out of range for 3x1 table"
         with pytest.raises(ExecutionError, match=msg):
             run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [y])
+
+    def test_batched_index_reads_near_integral_and_bad_tokens(self, monkeypatch):
+        # A balanced 16-leaf tree's leaves form one batched group, whose
+        # gather_row reads every leaf's token at once. A token within 1e-9 of
+        # an integer reads that row; one further off, or a negative one, makes
+        # the batched read raise, and the per-frame rerun names the leaf.
+        cfg = ModelConfig("treernn", d=4, vocab=21, classes=2)
+        m = build_recursive(cfg)
+        tree = generate_synthetic("balanced", 16, 20, 2, np.random.default_rng(0))
+        params = init_params(cfg, seed=0)
+        seen = []  # per batched index read: whether it rounded, or its error
+        bindices = kernels._bindices
+
+        def recorded(x):
+            try:
+                out = bindices(x)
+            except ValueError as exc:
+                seen.append(str(exc))
+                raise
+            seen.append(x.reshape(-1).tolist() != out.tolist())  # rounded
+            return out
+
+        monkeypatch.setattr(kernels, "_bindices", recorded)
+
+        def loss(token):
+            feeds = make_feeds(m, tree)
+            a = feeds["tokens"].a.copy()
+            a[0, 0] = token(a[0, 0])  # node 0 is the leftmost leaf
+            feeds["tokens"] = Tensor.from_array(a)
+            seen.clear()
+            return run(m.graph, feeds, [m.loss], RunOptions(), params).values[0].item()
+
+        base = loss(lambda v: v)
+        assert True not in seen
+        assert loss(lambda v: v + 1e-12) == base
+        assert seen.count(True) == 1
+        fg = m.graph
+        site = fg.bodies["Internal"].kinds.index("cond")  # the left child's call
+        key = "/".join(
+            map(str, [fg.top.kinds.index("invoke"), fg.bodies["Model"].kinds.index("cond")]
+                + [site] * 4)
+        )
+        leaf = fg.bodies["Leaf"]
+        gather = next(  # the embedding read, indexed by the token read
+            i for i, k in enumerate(leaf.kinds)
+            if k == "gather_row" and leaf.kinds[leaf.inputs[i][1]] == "gather_row"
+        )
+        with pytest.raises(ExecutionError, match=rf"node {gather} \(gather_row\) at key {key}: "
+                           "expected an integral index"):
+            loss(lambda v: v + 1e-6)
+        assert "non-integral index in batch" in seen
+        with pytest.raises(ExecutionError, match=rf"at key {key}: row -1 out of range"):
+            loss(lambda v: -1.0)
+        assert "negative index in batch" in seen
+
+    def test_body_reads_captured_top_level_value_of_a_batched_group(self):
+        # Eight instances run the top's segment as one batched group, so the
+        # captured y = w x lies in a stack: each instance's template of F
+        # holds its own row.
+        g = Graph()
+        w = g.parameter("w", (1, 1))
+        x = g.placeholder((1, 1), "x")
+        y = g.matmul(w, x)
+        f = g.declare_subgraph("F", [(1, 1)], [(1, 1)])
+        fb = g.body(f)
+        fb.set_outputs([fb.matmul(y, fb.args[0])])
+        g.define_subgraph(f, fb)
+        loss = g.add(g.invoke(f, [x])[0], y)
+        fg = g.finalize()
+        xs = [float(k - 3) for k in range(executor._BATCH_MIN)]
+        got = run_batch(fg, [{"x": Tensor.scalar(v)} for v in xs], [loss],
+                        params={"w": Tensor.scalar(1.5)})
+        assert [r.values[0].item() for r in got] == [1.5 * v * v + 1.5 * v for v in xs]
 
     def test_batched_gradient_reads_arguments_results_and_forward_values_from_stacks(
         self, monkeypatch

@@ -298,6 +298,26 @@ class TestCaptures:
         g.finalize()
         assert g.registry["F"].captures == [w]
 
+    def test_capture_of_a_node_after_the_call_is_a_cycle(self):
+        # A calls B, and B captures y = A.add(B's output, x): finalize wires y
+        # into the call as an operand, so the call and y wait on each other.
+        g = Graph()
+        a = g.declare_subgraph("A", *scalar_sig())
+        b = g.declare_subgraph("B", *scalar_sig())
+        ab = g.body(a)
+        (x,) = ab.args
+        (out,) = ab.invoke(b, [x])
+        y = ab.add(out, x)
+        bb = ab.body(b)
+        bb.set_outputs([bb.add(bb.args[0], y)])
+        g.define_subgraph(b, bb)
+        ab.set_outputs([y])
+        g.define_subgraph(a, ab)
+        g.invoke(a, [g.placeholder((1, 1), "p")])
+        assert (out.id, y.id) == (1, 2)
+        with pytest.raises(BuildError, match=r"node-level cycle through nodes \[1, 2\] in 'A'"):
+            g.finalize()
+
     def test_unrelated_graph_rejected(self):
         g1 = Graph()
         g2 = Graph()
