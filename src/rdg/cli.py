@@ -173,11 +173,16 @@ def cmd_gendata(args) -> int:
     return 0
 
 
-def _threads(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
+def _count(minimum: int):
+    """An argparse type: an integer of at least `minimum`."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}")
+        return n
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common_model_flags(sp, default_threads=1):
         sp.add_argument("--model", choices=MODEL_KINDS, default="treernn")
-        sp.add_argument("--hidden", type=int, default=32, help="state width d")
-        sp.add_argument("--threads", type=_threads, default=default_threads,
+        sp.add_argument("--hidden", type=_count(1), default=32, help="state width d")
+        sp.add_argument("--threads", type=_count(1), default=default_threads,
                         help="accepted for compatibility (>= 1); results and speed "
                         "do not depend on it")
         sp.add_argument("--seed", type=int, default=0)
@@ -200,9 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("recursive", "iterative"), default="recursive")
     sp.add_argument("--data", required=True, help="training corpus path")
     sp.add_argument("--val", help="validation corpus path (accuracy source when given)")
-    sp.add_argument("--batch", type=int, default=25,
+    sp.add_argument("--batch", type=_count(1), default=25,
                     help="instances per optimizer step, run as one batch")
-    sp.add_argument("--epochs", type=int, default=10)
+    sp.add_argument("--epochs", type=_count(0), default=10)
     sp.add_argument("--lr", type=float, default=0.05)
     sp.add_argument("--l2", type=float, default=0.0)
     sp.add_argument("--init-scale", type=float, default=0.1)
@@ -218,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ckpt", required=True)
     sp.add_argument("--data", required=True)
     sp.add_argument("--mode", choices=("recursive", "iterative"), default="recursive")
-    sp.add_argument("--threads", type=_threads, default=1)
+    sp.add_argument("--threads", type=_count(1), default=1)
     sp.set_defaults(fn=cmd_infer)
 
     sp = sub.add_parser("bench", help="run a benchmark suite, write a CSV report")
@@ -227,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", action="append", choices=("recursive", "iterative"),
                     help="repeatable; default recursive")
     sp.add_argument("--out", required=True, help="report CSV path")
-    sp.add_argument("--runs", type=int, default=100, help="timed runs per config")
-    sp.add_argument("--warmup", type=int, default=10)
+    sp.add_argument("--runs", type=_count(1), default=100, help="timed runs per config")
+    sp.add_argument("--warmup", type=_count(0), default=10)
     sp.add_argument("--leaves", type=int, default=0,
                     help="leaf count of the balancedness suite (default 64)")
     sp.set_defaults(fn=cmd_bench)

@@ -22,8 +22,8 @@ the members that something outside it reads (`exposed`) stay on a group
 record, a dict from node id to stack, and each frame keeps the record and
 its row in two slots after its node slots (`CompiledBody.row_slot`); the
 member's own slot stays pending. A call's argument or output copied from a
-stack keeps that stack and row the same way, and a gradient frame reads a
-forward value that lies in a stack through its forward frame (`fwd`). So a
+stack keeps that stack and row the same way, and so does a gradient frame's
+forward value: its slot pair gets the forward frame's holder and row. So a
 batched consumer reads such a value as one slice or index per run of frames
 that one stack serves, with where each frame's row lies found once per
 group and slot pair (`_gather`, kept on the group's `_Group`), a cond
@@ -69,12 +69,11 @@ recursive tree model spends one frame and one call site per tree node.
 In a differentiated graph, a forward frame records the child frame of each
 call site that a gradient call mirrors. That gradient call pops the child
 from its parent's record (the top frame's, or the one the parent took over
-from its forward frame): the child's values fill the new frame's forward-value
-slots (those that lie in stacks are read through the child instead), a cond
-gradient runs the branch the child ran, and the new frame takes over the
-child's record. One call site below its parent, at the child's site, it has
-the child's depth and key. A completed recorded frame is freed once that
-gradient frame exists and no longer reads it.
+from its forward frame): the child's values, or their holders and rows, fill
+the new frame's forward-value slots as arguments do, a cond gradient runs the
+branch the child ran, and the new frame takes over the child's record. One
+call site below its parent, at the child's site, it has the child's depth and
+key. A popped frame is freed in the round that pops it.
 
 Each instance also holds a gradient sink: `sink_add` nodes add every
 gradient contribution to a top-level node (a parameter a body captures, say)
@@ -181,7 +180,7 @@ class _Instance:
 class _Frame:
     __slots__ = (
         "body", "values", "remaining", "parent", "return_node", "ret", "site",
-        "depth", "inst", "children", "fwd", "path", "__weakref__",
+        "depth", "inst", "children", "path", "__weakref__",
     )
 
     def __init__(self, body, values, parent, return_node, ret, site, depth, inst):
@@ -199,7 +198,6 @@ class _Frame:
         # call site -> the child frame a gradient call will pop; a gradient
         # frame holds the record of the forward frame it mirrors
         self.children = {} if body.recorded else None
-        self.fwd = None  # a gradient frame's forward frame, whose values it reads
         self.path = None  # the key, built from the parent's when tracing
 
 
@@ -334,12 +332,9 @@ def _settle(state: _RunState, body, u: int, frames):
         body, u, frames = work.pop()
 
 
-# A value that `_return`, `_spawn` or `_run_cond` passes on and finds pending
-# lies in a stack, so they take only `_ref`'s first step: forward TreeRNN runs
-# of 64-leaf trees at batches 1-25 took 3-8% longer calling `_ref`. Its other
-# step, through a gradient frame's `fwd`, is never needed there, since
-# `differentiate` passes on as an argument or output only upstream gradients
-# and nodes it emits, never a forward value, and gradient bodies hold no `cond`.
+# A value that `_return`, `_spawn` or `_run_cond` passes on lies in its holder
+# under its own id (see `CompiledBody.stack_id`): `differentiate` never passes
+# on a forward value.
 
 
 def _return(f: _Frame):
@@ -361,24 +356,17 @@ def _ref(f: _Frame, i: int):
     stack, or _PENDING if it is not resolved.
 
     A pending value lies in a stack if the slot `row_slot` names holds what
-    holds it: a group record, whose stack of node i is meant, or the stack
-    itself; the next slot holds the row. A gradient frame's pending forward
-    value is its forward frame's.
+    holds it: a group record, whose stack under `stack_id` is meant, or the
+    stack itself; the next slot holds the row.
     """
     x = f.values[i]
-    while x is _PENDING:
+    if x is _PENDING:
         body = f.body
         r = body.row_slot[i]
         if r >= 0:
             h = f.values[r]
-            if h is None:
-                return x
-            return _held(h, i), f.values[r + 1]
-        src = body.fwd_src[i]
-        if src < 0:
-            return x
-        f, i = f.fwd, src
-        x = f.values[i]
+            if h is not None:
+                return _held(h, body.stack_id[i]), f.values[r + 1]
     return x
 
 
@@ -403,8 +391,8 @@ class _CallSite:
     first use (see `_call_site`)."""
 
     __slots__ = (
-        "name", "body", "shared", "own", "ret", "site", "fwd_site", "fwd_units", "record",
-        "untaken", "error",
+        "name", "body", "shared", "own", "ret", "site", "fwd_site", "record", "untaken",
+        "error",
     )
 
     def __init__(self, g: FinalizedGraph, pbody, nid: int, branch: int):
@@ -449,14 +437,6 @@ class _CallSite:
         self.ret = tuple((i, o, body.row_slot[o], pbody.row_slot[i]) for i, o in zip(ret, body.outputs))
         self.site = nid if self.fwd_site is None else self.fwd_site
         self.record = nid in pbody.recorded
-        # a gradient child's forward-value slots, by the forward body's row
-        # slot of their forward node (-1 outside a segment)
-        units: dict = {}
-        if body.fwd_slots:
-            rows = g.bodies[body.mirrors].row_slot
-            for slot, i in body.fwd_slots:
-                units.setdefault(rows[i], []).append((slot, i))
-        self.fwd_units = tuple((r, tuple(pairs)) for r, pairs in units.items())
 
 
 def _call_site(state: _RunState, pbody, nid: int, branch: int = 0) -> _CallSite:
@@ -475,9 +455,11 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
 
     The child's arguments are the parent's values at the site's node ids,
     and its outputs return into the parent's node ids `s.ret`, by default the
-    call node and its result slots. A gradient call's child reads the forward
-    frame popped from its parent's record at the forward call site it
-    mirrors; a forward call that a gradient call mirrors records each child.
+    call node and its result slots. A gradient call's child takes its forward
+    values, as it takes arguments, from the forward frame popped from its
+    parent's record at the forward call site it mirrors: the values, and the
+    holder and row of each forward pair (`fwd_units`); a forward call that a
+    gradient call mirrors records each child.
     Captures of top-level nodes hold one value per instance, so each instance
     keeps a template per body with those set.
     """
@@ -485,7 +467,7 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
         state.fail(ExecutionError(s.error), parents[0], nid)
         return
     body = s.body
-    shared, own, ret, site, fwd_site, fwd_units = s.shared, s.own, s.ret, s.site, s.fwd_site, s.fwd_units
+    shared, own, ret, site, fwd_site, fwd_units = s.shared, s.own, s.ret, s.site, s.fwd_site, body.fwd_units
     limit = state.opts.max_recursion_depth
     if not ret:  # nothing returns into a call with no outputs: its node holds None
         for parent in parents:
@@ -533,12 +515,11 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
                 state.fail(ExecutionError(msg), parent, nid)
                 return
             fv = fwd.values
-            for r, pairs in fwd_units:
-                if r < 0 or fv[r] is None:
-                    for slot, i in pairs:
-                        values[slot] = fv[i]
-                else:  # they lie in stacks: read through fwd
-                    child.fwd = fwd
+            for r, c, pairs in fwd_units:
+                values[c] = fv[r]
+                values[c + 1] = fv[r + 1]
+                for slot, i in pairs:
+                    values[slot] = fv[i]
             child.children = fwd.children
         elif s.record:
             parent.children[nid] = child
@@ -638,7 +619,7 @@ class _Group:
     """A batched group's pass over one segment: the stacks of node values it
     computed or gathered, and what it finds once about its frames."""
 
-    __slots__ = ("stacks", "rows", "tables", "which", "fwds", "by_instance")
+    __slots__ = ("stacks", "rows", "tables", "which", "by_instance")
 
     def __init__(self):
         # node id -> its k-stack (2-D if one value serves every frame): the
@@ -647,7 +628,6 @@ class _Group:
         self.rows: dict = {}  # (body, row slot) -> `_where` the frames' rows lie
         self.tables: dict = {}  # node id -> the `Tables` a batched `gather_row` reads
         self.which = None  # the frames' instance numbers
-        self.fwds = None  # the frames' forward frames
         self.by_instance = None  # see `_by_instance`
 
 
@@ -698,12 +678,11 @@ def _gather(body, i: int, frames, grp: _Group):
     value is missing.
 
     A member of another segment lies in the group records of the groups
-    that ran it, an argument or a call's output in the stack it was copied
-    from (see `_ref`), and a gradient frame's pending forward value in its
-    forward frame. Where the frames' rows lie is found once per group and
-    slot pair (`_where`), and a node read from there is one slice or index
-    per run of frames that one stack serves. Values the frames hold as
-    arrays are stacked anew.
+    that ran it; an argument, a call's output or a forward value lies where
+    it was copied from (see `_ref`). Where the frames' rows lie is found
+    once per group and slot pair (`_where`), and a node read from there is
+    one slice or index per run of frames that one stack serves. Values the
+    frames hold as arrays are stacked anew.
     """
     x0 = frames[0].values[i]
     if x0 is _PENDING:
@@ -716,14 +695,9 @@ def _gather(body, i: int, frames, grp: _Group):
                 where = grp.rows[key] = _where([v[r] for v in vals], [v[r + 1] for v in vals])
             if where is not None:
                 try:
-                    return _pick(where, i, len(frames))
+                    return _pick(where, body.stack_id[i], len(frames))
                 except KeyError:  # some group ran node i frame by frame
                     pass
-        elif body.fwd_src[i] >= 0:
-            if grp.fwds is None:
-                grp.fwds = [f.fwd for f in frames]
-            if None not in grp.fwds:  # else some frames hold copies (see `_spawn`)
-                return _gather(grp.fwds[0].body, body.fwd_src[i], grp.fwds, grp)
     xs = [f.values[i] for f in frames]
     if set(map(type, xs)) != {np.ndarray}:  # a mix: rows of stacks and arrays
         xs = [x if x is not _PENDING else _value(f, i) for f, x in zip(frames, xs)]

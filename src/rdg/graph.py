@@ -525,8 +525,8 @@ class Graph:
         self, ref: SubGraphRef, args: Sequence[NodeHandle], site: int | None = None
     ) -> list[NodeHandle]:
         """Call `ref`. A gradient call passes as `site` the id of the forward
-        call it mirrors: its frame then reads the forward frame that call
-        spawned in the caller's forward frame."""
+        call it mirrors: its frame then takes its forward values from the
+        forward frame that call spawned in the caller's forward frame."""
         self._check_mutable()
         d = self.registry[ref.name]
         self._check_args(ref.name, d, args)
@@ -891,10 +891,12 @@ class FinalizedGraph:
                 elif _mirrored_site(nd) is not None:
                     sites.add(_mirrored_site(nd))
         self.top = CompiledBody(g, True, *mirrored[id(g)])
-        self.bodies: dict[str, CompiledBody] = {
-            name: CompiledBody(h, False, *mirrored[id(h)])
-            for name, h in zip(g.declared_order, graphs[1:])
-        }
+        # a gradient body is declared after the forward body it mirrors, so
+        # that body is built first and lays out its forward-value slots
+        self.bodies: dict[str, CompiledBody] = {}
+        for name, h in zip(g.declared_order, graphs[1:]):
+            fwd = None if h.mirrors is None else self.bodies[h.mirrors]
+            self.bodies[name] = CompiledBody(h, False, *mirrored[id(h)], fwd)
 
     def dump(self) -> str:
         return self.graph.dump()
@@ -942,28 +944,22 @@ class CompiledBody:
         "sinks",
         "n_nodes",
         "mirrors",
-        "fwd_slots",
-        "fwd_src",
+        "fwd_units",
+        "stack_id",
         "recorded",
         "row_slot",
         "pending_at",
         "unit_exposed",
     )
 
-    def __init__(self, g: Graph, is_top: bool, reads=(), sites=()):
+    def __init__(self, g: Graph, is_top: bool, reads=(), sites=(), fwd=None):
         from . import kernels  # local import to avoid a cycle
 
         n = len(g.nodes)
         self.label = g.label
         self.n_nodes = n
         self.mirrors = g.mirrors
-        # (slot, forward node id) for the slots a gradient frame fills from
-        # its forward frame, and per node id that forward id (else -1); and
         # the call sites whose child frames a gradient call will pop
-        self.fwd_slots = [(nd.id, nd.payload) for nd in g.nodes if nd.kind == "fwd_value"]
-        self.fwd_src = [-1] * n
-        for slot, i in self.fwd_slots:
-            self.fwd_src[slot] = i
         self.recorded = frozenset(sites)
         self.kinds = [nd.kind for nd in g.nodes]
         self.payloads = [nd.payload for nd in g.nodes]
@@ -973,7 +969,8 @@ class CompiledBody:
         ]
         preset_kinds = {"const", "none_const"}
         arg_set = set(self.arg_slots)
-        initial = arg_set | {slot for slot, _ in self.fwd_slots}
+        fwd_slots = [(nd.id, nd.payload) for nd in g.nodes if nd.kind == "fwd_value"]
+        initial = arg_set | {slot for slot, _ in fwd_slots}
         self.preset = []
         self.placeholders = []
         self.parameters = []
@@ -1110,9 +1107,11 @@ class CompiledBody:
         # holds it, with its row in the next slot, else -1. For a segment
         # member that is the group record of the batched group that ran the
         # segment for the frame (one pair per unit); for an argument or a
-        # call's output, the stack it was copied from. The frame's countdowns
-        # of the units it waits on follow, from `pending_at`. Per unit: the
-        # members a record keeps (the exposed ones).
+        # call's output, the stack it was copied from; for a gradient body's
+        # forward values, what the forward frame holds them in (one pair per
+        # forward pair they come from). The frame's countdowns of the units
+        # it waits on follow, from `pending_at`. Per unit: the members a
+        # record keeps (the exposed ones).
         self.row_slot = row_slot = [-1] * n
         self.unit_exposed = []
         for u, ms in enumerate(members):
@@ -1127,6 +1126,23 @@ class CompiledBody:
             ):
                 row_slot[i] = at
                 at += 2
+        # Per node: the id a group record holds its stack under, its own or,
+        # for a forward-value slot, its forward node's. Per forward pair the
+        # slots read from: (its slot in the forward body, this body's pair,
+        # the (slot, forward node id) it fills), copied at spawn. Every
+        # forward node a gradient reads has a pair: `differentiate` reads
+        # constants and top-level captures directly.
+        self.stack_id = list(range(n))
+        units: dict = {}
+        for slot, i in fwd_slots:
+            self.stack_id[slot] = i
+            r = fwd.row_slot[i]
+            if r not in units:
+                units[r] = (at, [])
+                at += 2
+            row_slot[slot] = units[r][0]
+            units[r][1].append((slot, i))
+        self.fwd_units = tuple((r, c, tuple(pairs)) for r, (c, pairs) in units.items())
         self.pending_at = at
         self.unit_nodes = [tuple(ms) for ms in members]
         # per unit: its steps; and its `kernels.CompiledSegment`, made when a

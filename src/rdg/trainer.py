@@ -269,6 +269,8 @@ def infer(
     throughput."""
     if not corpus:
         raise ValueError("corpus is empty")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     opts = RunOptions(threads=threads)
     losses, preds = [], []
     t0 = time.monotonic()
@@ -368,6 +370,8 @@ def grad_check(
     implementation of the same loss — so the two sides share no code.
     A check passes when |g - fd| <= tol * max(|g|, |fd|) + 1e-7.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     cfg = ModelConfig(kind, d=d, vocab=vocab, classes=classes)
     model = build_recursive(cfg)
     g, gm, _ = _prepare(model, None)

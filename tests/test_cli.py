@@ -101,6 +101,21 @@ class TestArgumentDefaults:
             main(cmd + ["--threads", "0"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "x.txt", "--hidden", "0"],
+        ["train", "--data", "x.txt", "--batch", "0"],
+        ["train", "--data", "x.txt", "--epochs", "-1"],
+        ["train", "--data", "x.txt", "--batch", "two"],
+        ["bench", "--suite", "scaling", "--out", "b.csv", "--runs", "0"],
+        ["bench", "--suite", "scaling", "--out", "b.csv", "--warmup", "-1"],
+        ["bench", "--suite", "scaling", "--out", "b.csv", "--hidden", "0"],
+    ], ids=lambda argv: "/".join(argv[-2:]))
+    def test_count_out_of_range_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert argv[-2] in capsys.readouterr().err
+
 
 class TestGendata:
     def test_writes_expected_corpus(self, tmp_path, capsys):

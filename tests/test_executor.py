@@ -1255,6 +1255,40 @@ class TestCache:
         assert len(refs) == 6  # top, one F, three Step and one Base
         assert all(r() is None for r in refs)
 
+    def test_popped_forward_frame_freed_in_its_round(self, monkeypatch):
+        # every group holds 10 frames or more, so the forward values a
+        # gradient frame reads lie in stacks; with the cycle collector off,
+        # each forward frame a gradient call pops is gone by the end of the
+        # round that popped it
+        m = build_recursive(ModelConfig("treelstm", d=4, vocab=21, classes=2))
+        g, gm = differentiate(m.graph, m.loss, list(m.params.values()))
+        rng = np.random.default_rng(0)
+        trees = [generate_synthetic("balanced", 16, 20, 2, rng) for _ in range(10)]
+        spawn, run_round = executor._spawn, executor._round
+        popped, seen, alive = [], [0], [0]
+
+        def spy_spawn(state, s, parents, nid):
+            if s.fwd_site is not None:
+                popped.extend(weakref.ref(p.children[s.fwd_site]) for p in parents)
+            spawn(state, s, parents, nid)
+
+        def spy_round(state):
+            run_round(state)
+            seen[0] += len(popped)
+            alive[0] += sum(r() is not None for r in popped)
+            popped.clear()
+
+        monkeypatch.setattr(executor, "_spawn", spy_spawn)
+        monkeypatch.setattr(executor, "_round", spy_round)
+        gc.disable()
+        try:
+            run_batch(g, [make_feeds(m, t) for t in trees], [gm.loss], RunOptions(),
+                      init_params(m.config))
+        finally:
+            gc.enable()
+        assert seen[0] == 320  # per tree: its 31 nodes' frames and the top's call
+        assert alive[0] == 0
+
 
 class TestTrace:
     def test_trace_rows_and_keys(self):

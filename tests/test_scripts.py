@@ -1,6 +1,8 @@
 """The scripts under `scripts/` run to completion with their smallest
-arguments. `make_mini_corpus.py` is left out: it rewrites the bundled corpus."""
+arguments. `make_mini_corpus.py` does not run, since its `main()` rewrites the
+bundled corpus: its `build_corpus()` is checked against that file instead."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import rdg
+from rdg.data import serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -27,3 +30,15 @@ def test_script_exits_zero(argv, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stderr
+
+
+def test_mini_corpus_script_reproduces_bundled_corpus(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    path = SCRIPTS / "make_mini_corpus.py"
+    spec = importlib.util.spec_from_file_location("make_mini_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    corpus, vocab = script.build_corpus()
+    text = "\n".join(serialize(t, vocab) for t in corpus) + "\n"  # as its main() writes it
+    bundled = Path(rdg.__file__).parent / "corpora" / "mini_reviews.txt"
+    assert text == bundled.read_text(encoding="utf-8")

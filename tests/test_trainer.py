@@ -258,6 +258,14 @@ class TestEvaluate:
         assert 0.4 <= m.accuracy <= 0.6
         assert m.instances_per_s > 0
 
+    @pytest.mark.parametrize("fn", [evaluate, predictions])
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, fn, batch_size):
+        corpus = small_corpus(count=2)
+        cfg = ModelConfig("treernn", d=4, vocab=11, classes=2)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            fn(build_recursive(cfg), init_params(cfg), corpus, batch_size=batch_size)
+
     def test_thread_count_does_not_change_predictions(self):
         corpus = small_corpus(count=20)
         cfg = ModelConfig("treelstm", d=4, vocab=11, classes=2)
@@ -306,10 +314,11 @@ class TestGradCheckHarness:
         assert report.ok, report.summary()
         assert all(r.worst_rel_err < 1e-4 for r in report.rows)
 
-    def test_zero_trials_is_a_passing_empty_report(self):
-        report = grad_check("treernn", trials=0)
-        assert report.ok
-        assert all(r.checks == 0 for r in report.rows)
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        # a report over no checks would read PASS
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            grad_check("treernn", trials=trials)
 
     def test_detects_a_corrupted_derivative(self, monkeypatch):
         orig = kernels._binary_fn
