@@ -10,16 +10,17 @@ parameter of any model fails.
 import argparse
 import sys
 
+from rdg.cli import _count
 from rdg.trainer import grad_check
 
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__)
     p.add_argument("--kinds", nargs="+", default=["treernn", "rntn", "treelstm"])
-    p.add_argument("--trials", type=int, default=10, help="random trees per kind")
+    p.add_argument("--trials", type=_count(1), default=10, help="random trees per kind")
     p.add_argument("--tol", type=float, default=1e-4, help="relative error bound")
-    p.add_argument("--hidden", type=int, default=6)
-    p.add_argument("--max-leaves", type=int, default=16)
+    p.add_argument("--hidden", type=_count(1), default=6)
+    p.add_argument("--max-leaves", type=_count(1), default=16)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
 

@@ -60,9 +60,9 @@ class GradientMap:
 def _clone(fg: FinalizedGraph) -> tuple[Graph, dict]:
     """Structural copy of the finalized builder graph, in pre-wiring form.
 
-    Node ids are preserved. Invoke/Cond operands appended by capture wiring
-    are stripped (finalize re-derives them), so the clone can be extended and
-    finalized again.
+    Node ids are preserved. The capture operands that finalize appended to
+    call nodes are stripped (finalize re-derives them), so the clone can be
+    extended and finalized again.
     """
     src_top = fg.graph
     gmap: dict[int, Graph] = {}
@@ -95,16 +95,10 @@ def _clone(fg: FinalizedGraph) -> tuple[Graph, dict]:
 
 def _clone_nodes(src: Graph, dst: Graph, gmap: dict):
     for n in src.nodes:
-        kind, payload, inputs = n.kind, n.payload, list(n.inputs)
-        if kind == "invoke" and isinstance(payload, tuple):
-            payload, ncaps = payload[0], payload[1]
-            if ncaps:
-                inputs = inputs[: len(inputs) - ncaps]
-        elif kind == "cond" and len(payload) == 4:
-            tname, ename, ct, ce = payload
-            payload = (tname, ename)
-            if ct + ce:
-                inputs = inputs[: len(inputs) - ct - ce]
+        kind, payload, inputs = n.kind, n.payload, n.inputs
+        names = _target_names(n)
+        if names:
+            inputs = inputs[: len(inputs) - sum(len(src.registry[t].captures) for t in names)]
         if kind == "capture":
             outer: NodeHandle = payload
             outer_clone = NodeHandle(gmap[id(outer.graph)], outer.id)
@@ -417,7 +411,7 @@ def _upstream(ctx: _Context, node, out_shapes) -> list[NodeHandle] | None:
 
 
 def _vjp_invoke(ctx: _Context, node):
-    name = node.payload
+    name = node.payload[0]
     d = ctx.synth.registry[name]
     douts = _upstream(ctx, node, d.out_shapes)
     if douts is None:
@@ -460,7 +454,6 @@ def _vjp_cond(ctx: _Context, node):
         then_name=g_then.name,
         else_name=g_else.name,
         n_args=n_args,
-        cap_counts=(0, 0),
         then_slots=then_slots,
         else_slots=else_slots,
     )

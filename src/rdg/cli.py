@@ -126,9 +126,7 @@ def cmd_bench(args) -> int:
     common = dict(kind=args.model, modes=modes, d=args.hidden,
                   warmup=args.warmup, runs=args.runs, seed=args.seed)
     if args.suite == "balancedness":
-        rows = bench_mod.bench_balancedness(
-            threads=args.threads, leaves=args.leaves or 64, **common
-        )
+        rows = bench_mod.bench_balancedness(threads=args.threads, leaves=args.leaves, **common)
     else:
         rows = bench_mod.bench_scaling(threads=args.threads, **common)
     bench_mod.write_bench_csv(args.out, rows)
@@ -185,6 +183,14 @@ def _count(minimum: int):
     return count
 
 
+def _power_of_two(text: str) -> int:
+    """An argparse type: a power of two, as the balanced shape's leaf count."""
+    n = int(text)
+    if n < 1 or n & (n - 1):
+        raise argparse.ArgumentTypeError("must be a power of two")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="rdg",
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--init-scale", type=float, default=0.1)
     sp.add_argument("--per-node-loss", action="store_true",
                     help="supervise every node, not just the root")
-    sp.add_argument("--capacity", type=int, default=0,
+    sp.add_argument("--capacity", type=_count(0), default=0,
                     help="iterative unroll length (default: largest instance)")
     sp.add_argument("--out", help="checkpoint path to write")
     sp.add_argument("--metrics", help="per-epoch metrics CSV path")
@@ -234,17 +240,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="report CSV path")
     sp.add_argument("--runs", type=_count(1), default=100, help="timed runs per config")
     sp.add_argument("--warmup", type=_count(0), default=10)
-    sp.add_argument("--leaves", type=int, default=0,
-                    help="leaf count of the balancedness suite (default 64)")
+    sp.add_argument("--leaves", type=_power_of_two, default=64,
+                    help="leaf count of the balancedness suite, a power of two")
     sp.set_defaults(fn=cmd_bench)
 
     sp = sub.add_parser("gendata", help="generate a synthetic labeled-tree corpus")
     sp.add_argument("--shape", choices=("balanced", "moderate", "linear"),
                     required=True)
-    sp.add_argument("--leaves", type=int, required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--vocab", type=int, default=20, help="distinct word count")
-    sp.add_argument("--classes", type=int, default=2)
+    sp.add_argument("--leaves", type=_count(1), required=True)
+    sp.add_argument("--count", type=_count(1), required=True)
+    sp.add_argument("--vocab", type=_count(1), default=20, help="distinct word count")
+    sp.add_argument("--classes", type=_count(1), default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(fn=cmd_gendata)

@@ -226,6 +226,10 @@ def generate_synthetic(
     """
     if n_leaves < 1:
         raise ValueError("n_leaves must be >= 1")
+    if vocab_size < 1:
+        raise ValueError("vocab_size must be >= 1")
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1")
     if shape == "balanced" and n_leaves & (n_leaves - 1):
         raise ValueError(f"balanced shape needs a power-of-two leaf count, got {n_leaves}")
     if shape not in ("balanced", "moderate", "linear"):

@@ -52,13 +52,17 @@ arrays without a copy. Each gradient sink entry sums in a private array
 Invoke and Cond never block: they create child frames whose source nodes
 join the next round. What a call node fixes for every frame it creates on
 one branch (the target body, which argument slots one template per
-instance shares, where the outputs return) is a record built on the call
-node's first use and kept on its body. A call node holds its first output and the `result`
-nodes right after it the others, all in the call's unit. A child that
-completes writes its outputs straight into those slots and settles that
-unit, so a call with several outputs costs its caller no more than a call
-with one. A cond gradient's child fills the slots of its branch's outputs,
-and the other branch's capture slots hold None.
+instance shares, where the outputs return) is a record (`graph._CallSite`)
+that finalize builds for every call node and branch, and each child frame
+holds its record. Every call runs one path, `_spawn`: an invoke spawns
+every frame's child on its one branch, a cond on the branch its predicate
+picks, and a cond gradient on the branch its mirrored forward cond ran. A
+call node holds its first output and the `result` nodes right after it the
+others, all in the call's unit. A child that completes writes its outputs
+straight into those slots and settles that unit, so a call with several
+outputs costs its caller no more than a call with one. A cond gradient's
+child fills the slots of its branch's outputs, and the other branch's
+capture slots hold None.
 
 Frames form a tree through parent pointers. A frame's depth counts the call
 sites above it, and its key, the path of their node ids, is built from the
@@ -99,7 +103,7 @@ from itertools import chain, groupby
 
 import numpy as np
 
-from .graph import FinalizedGraph, NodeHandle, RowGrads, Shape
+from .graph import FinalizedGraph, NodeHandle, RowGrads, Shape, _CallSite
 from .kernels import Tables, bscatter, compile_segment, sink_put
 from .tensor import Tensor
 
@@ -179,20 +183,19 @@ class _Instance:
 
 class _Frame:
     __slots__ = (
-        "body", "values", "remaining", "parent", "return_node", "ret", "site",
-        "depth", "inst", "children", "path", "__weakref__",
+        "body", "values", "remaining", "parent", "call", "depth", "inst", "children", "path",
+        "__weakref__",
     )
 
-    def __init__(self, body, values, parent, return_node, ret, site, depth, inst):
+    def __init__(self, body, values, parent, call, depth, inst):
         self.body = body
         self.values = values
         self.remaining = body.completion_total
         self.parent = parent
-        self.return_node = return_node
-        # per output: the parent's node id, its own, and their `row_slot`s
-        # (its own, then the parent's)
-        self.ret = ret
-        self.site = site  # the forward call site, for a gradient frame too
+        # the record of the call that spawned it (None for a top frame):
+        # where its outputs return, and its site in the key, the forward call
+        # site for a gradient frame too
+        self.call = call
         self.depth = depth
         self.inst = inst
         # call site -> the child frame a gradient call will pop; a gradient
@@ -206,7 +209,7 @@ def _key_str(f: _Frame) -> str:
     and last 8 and give the depth."""
     sites = []
     while f.parent is not None:
-        sites.append(str(f.site))
+        sites.append(str(f.call.site))
         f = f.parent
     sites.reverse()
     if len(sites) > 16:
@@ -226,11 +229,12 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "g", "opts", "error", "ready", "peak", "trace", "tracing", "stacked", "tops", "tables",
+        "bodies", "opts", "error", "ready", "peak", "trace", "tracing", "stacked", "tops",
+        "tables",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
-        self.g = g
+        self.bodies = g.bodies  # name -> body, the targets of call records
         self.opts = opts
         self.error: tuple | None = None
         # (body, unit) -> frames ready there for the next round, in the
@@ -262,9 +266,10 @@ def _op_label(body, nid: int) -> str:
         tag = p if isinstance(p, str) else p[0]
         return f"{k}[{tag}]"
     if k == "invoke":
-        return f"invoke[{body.payloads[nid][0]}]"
+        return f"invoke[{body.calls[nid][0].name}]"
     if k == "cond":
-        return f"cond[{body.payloads[nid][0]},{body.payloads[nid][1]}]"
+        then, other = body.calls[nid]
+        return f"cond[{then.name},{other.name}]"
     return k
 
 
@@ -316,23 +321,23 @@ def _settle(state: _RunState, body, u: int, frames):
             returns: dict = {}
             for f in done:
                 _return(f)
-                parent = f.parent
-                key = (parent.body, f.return_node)
+                parent, call = f.parent, f.call
+                key = (parent.body, call.unit)
                 parents = returns.get(key)
                 if parents is None:
                     returns[key] = [parent]
                 else:
                     parents.append(parent)
-                if f.return_node in parent.body.recorded:
+                if call.record:
                     f.parent = None
-            for (pbody, rnode), parents in reversed(returns.items()):
-                work.append((pbody, pbody.unit_of[rnode], parents))
+            for (pbody, u), parents in reversed(returns.items()):
+                work.append((pbody, u, parents))
         if not work:
             return
         body, u, frames = work.pop()
 
 
-# A value that `_return`, `_spawn` or `_run_cond` passes on lies in its holder
+# A value that `_return`, `_spawn` or `_branches` passes on lies in its holder
 # under its own id (see `CompiledBody.stack_id`): `differentiate` never passes
 # on a forward value.
 
@@ -342,7 +347,7 @@ def _return(f: _Frame):
     output that lies in a stack as that stack and row."""
     pvals = f.parent.values
     vals = f.values
-    for i, o, r, c in f.ret:
+    for i, o, r, c in f.call.ret:
         x = vals[o]
         if x is _PENDING:
             pvals[c] = _held(vals[r], o)
@@ -382,96 +387,27 @@ def _value(f: _Frame, i: int):
     return x[0][x[1]] if type(x) is tuple else x
 
 
-class _CallSite:
-    """What one call node fixes for every frame it spawns on one branch:
-    the target body, the parent's node ids that fill the child's argument
-    slots, split into slots that one template per instance shares and slots
-    each child sets, where the child's outputs return, and whether the
-    parent records the child for a gradient call. Built on a call node's
-    first use (see `_call_site`)."""
-
-    __slots__ = (
-        "name", "body", "shared", "own", "ret", "site", "fwd_site", "record", "untaken",
-        "error",
-    )
-
-    def __init__(self, g: FinalizedGraph, pbody, nid: int, branch: int):
-        kind = pbody.kinds[nid]
-        p = pbody.payloads[nid]
-        ids = pbody.inputs[nid]
-        unit = pbody.unit_nodes[pbody.unit_of[nid]]  # the call node and its result slots
-        ret = unit
-        self.fwd_site = self.untaken = None
-        if kind == "invoke":
-            self.name, _, self.fwd_site = p
-        elif kind == "cond":
-            tname, ename, ct, ce = p
-            n_args = len(ids) - 1 - ct - ce
-            caps = ids[1 + n_args : 1 + n_args + ct] if branch else ids[1 + n_args + ct :]
-            self.name = tname if branch else ename
-            ids = ids[1 : 1 + n_args] + caps
-        else:  # cond_grad: the gradient of the branch the forward cond ran
-            ct, ce = p.cap_counts
-            n_up = len(ids) - ct - ce
-            caps = ids[n_up : n_up + ct] if branch else ids[n_up + ct :]
-            self.name = p.then_name if branch else p.else_name
-            ids = ids[:n_up] + caps
-            ret = [unit[s] for s in (p.then_slots if branch else p.else_slots)]
-            self.untaken = [i for i in unit if i not in ret]  # the other branch's captures
-            self.fwd_site = p.cond_site
-        self.body = body = g.bodies[self.name]
-        slots = body.arg_slots
-        self.error = None
-        if len(ids) != len(slots):
-            self.error = (
-                f"subgraph {self.name!r} expects {len(slots)} values "
-                f"(inputs plus captures), got {len(ids)}"
-            )
-        self.shared = [
-            (slot, i, pbody.row_slot[i]) for slot, i in zip(slots, ids) if body.shared[slot]
-        ]
-        self.own = [
-            (slot, i, pbody.row_slot[i], body.row_slot[slot])
-            for slot, i in zip(slots, ids) if not body.shared[slot]
-        ]
-        self.ret = tuple((i, o, body.row_slot[o], pbody.row_slot[i]) for i, o in zip(ret, body.outputs))
-        self.site = nid if self.fwd_site is None else self.fwd_site
-        self.record = nid in pbody.recorded
-
-
-def _call_site(state: _RunState, pbody, nid: int, branch: int = 0) -> _CallSite:
-    """Node nid's call site record for `branch` (1 then, 0 else; 0 for an
-    invoke), kept on the body from its first use. Two runs that build one at
-    once build the same record."""
-    s = pbody.call_sites.get((nid, branch))
-    if s is None:
-        s = pbody.call_sites[(nid, branch)] = _CallSite(state.g, pbody, nid, branch)
-    return s
-
-
 def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
-    """Create one child frame of call site s per parent, called from node
-    `nid`.
+    """Create one child frame per parent on the branch of call node `nid`
+    whose record is s.
 
-    The child's arguments are the parent's values at the site's node ids,
+    The child's arguments are the parent's values at the record's node ids,
     and its outputs return into the parent's node ids `s.ret`, by default the
-    call node and its result slots. A gradient call's child takes its forward
-    values, as it takes arguments, from the forward frame popped from its
-    parent's record at the forward call site it mirrors: the values, and the
-    holder and row of each forward pair (`fwd_units`); a forward call that a
-    gradient call mirrors records each child.
+    call node and its result slots; the call's other slots (`s.untaken`)
+    hold None. A gradient call's child takes its forward values, as it takes
+    arguments, from the forward frame popped from its parent's record at the
+    forward call site it mirrors: the values, and the holder and row of each
+    forward pair (`fwd_units`); a forward call that a gradient call mirrors
+    records each child.
     Captures of top-level nodes hold one value per instance, so each instance
     keeps a template per body with those set.
     """
-    if s.error is not None:
-        state.fail(ExecutionError(s.error), parents[0], nid)
-        return
-    body = s.body
-    shared, own, ret, site, fwd_site, fwd_units = s.shared, s.own, s.ret, s.site, s.fwd_site, body.fwd_units
+    body = state.bodies[s.name]
+    shared, own, site, fwd_site, fwd_units = s.shared, s.own, s.site, s.fwd_site, body.fwd_units
     limit = state.opts.max_recursion_depth
-    if not ret:  # nothing returns into a call with no outputs: its node holds None
+    for i in s.untaken:
         for parent in parents:
-            parent.values[nid] = None
+            parent.values[i] = None
     children = []
     tracing = state.tracing
     counted = None  # the instance whose frames `count` children have not been added to
@@ -505,7 +441,7 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
                 values[c + 1] = pvals[r + 1]
             else:
                 values[slot] = x
-        child = _Frame(body, values, parent, nid, ret, site, depth, inst)
+        child = _Frame(body, values, parent, s, depth, inst)
         if tracing:
             child.path = f"{parent.path}/{site}" if parent.parent else str(site)
         if fwd_site is not None:
@@ -536,53 +472,42 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
         # every output is an argument or a constant: the call is complete
         for f in children:
             _return(f)
-        pbody = parents[0].body
-        _settle(state, pbody, pbody.unit_of[nid], parents)
+        _settle(state, parents[0].body, s.unit, parents)
 
 
-def _run_cond(state, body, nid, frames):
-    pred = body.inputs[nid][0]
-    r = body.row_slot[pred]
-    taken = ([], [])  # parents on the else / then branch
-    flags: dict = {}  # id of a stack's holder -> its predicates, compared at once
+def _branches(state: _RunState, body, nid: int, calls, frames) -> tuple:
+    """The frames on each branch of call node nid, indexed as its records
+    `calls` are: an invoke's all on its one branch, a cond's by its
+    predicate, and a cond gradient's by the branch its mirrored forward cond
+    ran."""
+    if len(calls) == 1:
+        return (frames,)
+    taken = ([], [])  # frames on the then / else branch
+    if body.kinds[nid] == "cond":
+        pred = body.inputs[nid][0]
+        r = body.row_slot[pred]
+        flags: dict = {}  # id of a stack's holder -> its predicates, compared at once
+        for f in frames:
+            v = f.values
+            x = v[pred]
+            if x is _PENDING:
+                h = v[r]
+                got = flags.get(id(h))
+                if got is None:
+                    got = flags[id(h)] = [not abs(y) > 0.5 for y in _held(h, pred)[:, 0, 0].tolist()]
+                taken[got[v[r + 1]]].append(f)
+            else:  # |x| > 0.5 takes the then branch, and NaN the else
+                taken[not abs(x.item(0)) > 0.5].append(f)
+        return taken
+    site = calls[0].fwd_site
     for f in frames:
-        v = f.values
-        x = v[pred]
-        if x is _PENDING:
-            h = v[r]
-            got = flags.get(id(h))
-            if got is None:
-                got = flags[id(h)] = [abs(y) > 0.5 for y in _held(h, pred)[:, 0, 0].tolist()]
-            taken[got[v[r + 1]]].append(f)
-        else:
-            taken[abs(x.item(0)) > 0.5].append(f)
-    if taken[1]:
-        _spawn(state, _call_site(state, body, nid, 1), taken[1], nid)
-    if taken[0] and state.error is None:
-        _spawn(state, _call_site(state, body, nid, 0), taken[0], nid)
-
-
-def _run_cond_grad(state, body, nid, frames):
-    """Run, per frame, the gradient of the branch that the mirrored forward
-    cond ran."""
-    p = body.payloads[nid]
-    then_fwd = state.g.bodies[p.then_name].mirrors
-    taken = ([], [])  # parents on the else / then branch
-    for f in frames:
-        child = (f.children or {}).get(p.cond_site)
+        child = (f.children or {}).get(site)
         if child is None:
-            msg = f"forward/backward mismatch: no branch record for node {p.cond_site}"
+            msg = f"forward/backward mismatch: no branch record for node {site}"
             state.fail(ExecutionError(msg), f, nid)
-            return
-        taken[child.body.label == then_fwd].append(f)
-    for rec in (1, 0):
-        if not taken[rec] or state.error is not None:
-            continue
-        s = _call_site(state, body, nid, rec)
-        for f in taken[rec]:
-            for i in s.untaken:
-                f.values[i] = None
-        _spawn(state, s, taken[rec], nid)
+            break
+        taken[child.call.branch].append(f)
+    return taken
 
 
 def _sink_read(sink: dict, nid: int, shape):
@@ -597,19 +522,18 @@ def _sink_read(sink: dict, nid: int, shape):
 
 
 def _run_control(state: _RunState, body, nid: int, frames):
-    """Control nodes: per frame."""
-    kind = body.kinds[nid]
-    if kind == "invoke":
-        _spawn(state, _call_site(state, body, nid), frames, nid)
-    elif kind == "cond":
-        _run_cond(state, body, nid, frames)
-    elif kind == "cond_grad":
-        _run_cond_grad(state, body, nid, frames)
-    else:  # grad_out
+    """Control nodes: a call spawns its frames' children, the then branch's
+    first; a sink read reads each frame's entry."""
+    calls = body.calls[nid]
+    if calls is None:  # grad_out
         payload = body.payloads[nid]
         for f in frames:
             f.values[nid] = _sink_read(f.inst.sink, *payload)
         _settle(state, body, body.unit_of[nid], frames)
+        return
+    for s, parents in zip(calls, _branches(state, body, nid, calls, frames)):
+        if parents and state.error is None:
+            _spawn(state, s, parents, nid)
 
 
 # -- segments ----------------------------------------------------------------
@@ -1083,7 +1007,7 @@ def run_batch(
     tops = []
     for feeds in feed_list:
         values = _template(top)
-        frame = _Frame(top, values, None, -1, (), None, 0, _Instance(len(tops)))
+        frame = _Frame(top, values, None, None, 0, _Instance(len(tops)))
         frame.path = "-"
         by_name = {}
         for h, v in feeds.items():

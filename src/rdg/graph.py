@@ -524,14 +524,14 @@ class Graph:
     def invoke(
         self, ref: SubGraphRef, args: Sequence[NodeHandle], site: int | None = None
     ) -> list[NodeHandle]:
-        """Call `ref`. A gradient call passes as `site` the id of the forward
-        call it mirrors: its frame then takes its forward values from the
-        forward frame that call spawned in the caller's forward frame."""
+        """Call `ref`; the invoke's payload is `(ref.name, site)`. A gradient
+        call passes as `site` the id of the forward call it mirrors: its frame
+        then takes its forward values from the forward frame that call spawned
+        in the caller's forward frame. A forward call's site is None."""
         self._check_mutable()
         d = self.registry[ref.name]
         self._check_args(ref.name, d, args)
-        payload = ref.name if site is None else (ref.name, site)
-        outs = self.call_node("invoke", tuple(args), payload, d.out_shapes)
+        outs = self.call_node("invoke", tuple(args), (ref.name, site), d.out_shapes)
         return outs[: len(d.out_shapes)]
 
     def cond(
@@ -625,7 +625,7 @@ class Graph:
         }
         for b in bodies:
             if id(b) not in enclosing and any(
-                nd.kind == "invoke" and nd.payload in targets for nd in b.nodes
+                nd.kind == "invoke" and nd.payload[0] in targets for nd in b.nodes
             ):
                 b._inline(targets)
 
@@ -651,8 +651,8 @@ class Graph:
                 continue
             if nd.kind == "capture":
                 new[nd.id] = self._capture(nd.payload)
-            elif nd.kind == "invoke" and nd.payload in targets:
-                d = self.registry[nd.payload].body
+            elif nd.kind == "invoke" and nd.payload[0] in targets:
+                d = self.registry[nd.payload[0]].body
                 local: dict[int, int] = {}
                 for m in d.nodes:
                     if m.kind == "input":
@@ -698,34 +698,17 @@ class Graph:
                                 changed = True
 
     def _wire_captures(self):
-        """Append capture operands to every invoke/cond in canonical order."""
+        """Append to every call node's operands each target's captures, in
+        canonical order, a cond's then branch before its else branch. A
+        target's capture count is `len(registry[name].captures)`."""
         graphs = [self] + [self.registry[n].body for n in self.declared_order]
         for g in graphs:
             for node in g.nodes:
-                names = _target_names(node)
-                if not names:
-                    continue
-                extra: list[int] = []
-                counts = []
-                for tname in names:
-                    tdef = self.registry[tname]
-                    ids = []
-                    for outer in tdef.captures:
-                        if outer.graph is g:
-                            ids.append(outer.id)
-                        else:
-                            ids.append(g.capture_map[(id(outer.graph), outer.id)])
-                    counts.append(len(ids))
-                    extra.extend(ids)
-                node.inputs = node.inputs + extra
-                if node.kind == "invoke":
-                    p = node.payload
-                    name, site = (p, None) if isinstance(p, str) else p
-                    node.payload = (name, counts[0], site)
-                elif node.kind == "cond":
-                    node.payload = (*node.payload, counts[0], counts[1])
-                elif node.kind == "cond_grad":
-                    node.payload = node.payload._replace(cap_counts=tuple(counts))
+                for tname in _target_names(node):
+                    node.inputs = node.inputs + [
+                        outer.id if outer.graph is g else g.capture_map[(id(outer.graph), outer.id)]
+                        for outer in self.registry[tname].captures
+                    ]
 
     # -- debug dump -------------------------------------------------------
 
@@ -782,8 +765,7 @@ def _kind_str(n: Node) -> str:
     if k == "slice_rows":
         return f"slice_rows[{p[0]}:{p[1]}]"
     if k == "invoke":
-        name = p[0] if isinstance(p, tuple) else p
-        return f"invoke[{name}]"
+        return f"invoke[{p[0]}]"
     if k == "cond":
         return f"cond[{p[0]},{p[1]}]"
     if k == "cond_grad":
@@ -798,11 +780,11 @@ def _kind_str(n: Node) -> str:
 
 
 def _target_names(node: Node) -> tuple[str, ...]:
+    """The bodies a call node may run, a cond's then branch first."""
     if node.kind == "invoke":
-        p = node.payload
-        return (p[0] if isinstance(p, tuple) else p,)
+        return (node.payload[0],)
     if node.kind == "cond":
-        return (node.payload[0], node.payload[1])
+        return node.payload
     if node.kind == "cond_grad":
         return (node.payload.then_name, node.payload.else_name)
     return ()
@@ -859,15 +841,18 @@ def _mirrored_site(node: Node) -> int | None:
     """The forward call site that a gradient call mirrors, else None."""
     if node.kind == "cond_grad":
         return node.payload.cond_site
-    return node.payload[2] if node.kind == "invoke" else None
+    return node.payload[1] if node.kind == "invoke" else None
 
 
 class CondGradPayload(NamedTuple):
+    """A cond gradient's payload. Its operands are the gradients of the
+    cond's outputs, then, once finalize wires them, the then and the else
+    gradient body's captures."""
+
     cond_site: int
     then_name: str
     else_name: str
     n_args: int
-    cap_counts: tuple  # (len(then captures), len(else captures)) after wiring
     then_slots: tuple  # union-layout position of each then-branch output
     else_slots: tuple
 
@@ -897,6 +882,15 @@ class FinalizedGraph:
         for name, h in zip(g.declared_order, graphs[1:]):
             fwd = None if h.mirrors is None else self.bodies[h.mirrors]
             self.bodies[name] = CompiledBody(h, False, *mirrored[id(h)], fwd)
+        # every call node's records, once every body a call may target exists
+        for body in (self.top, *self.bodies.values()):
+            for nd in body.nodes:
+                names = _target_names(nd)
+                if names:
+                    body.calls[nd.id] = tuple(
+                        _CallSite(g.registry, self.bodies, body, nd.id, branch)
+                        for branch in range(len(names))
+                    )
 
     def dump(self) -> str:
         return self.graph.dump()
@@ -937,7 +931,7 @@ class CompiledBody:
         "nodes",
         "batched",
         "compiled",
-        "call_sites",
+        "calls",
         "shared",
         "run_wide",
         "exposed",
@@ -997,7 +991,7 @@ class CompiledBody:
                 self.parameters.append((nd.id, nd.payload, nd.shape))
                 initial.add(nd.id)
         self.outputs = list(g.outputs)
-        self.nodes = g.nodes  # for compiling segments on first use
+        self.nodes = g.nodes  # for call records, and for compiling segments on first use
         self.kernels, self.batched, rows = kernels.compile_body(g)
         # Cut the body into units. Each control node is one, joined by the
         # result slots of its further outputs, so a unit lists a call's
@@ -1149,9 +1143,10 @@ class CompiledBody:
         # group under the executor's batching cut-over first runs it
         self.steps = [s and tuple(s) for s in steps]
         self.compiled = [None] * len(members)
-        # (call node, branch) -> the executor's record of that call site,
-        # made on its first use
-        self.call_sites = {}
+        # per call node: its `_CallSite` per branch, in `_target_names` order
+        # (0 then, 1 else; an invoke has branch 0 only), set by
+        # `FinalizedGraph`; else None
+        self.calls = [None] * n
         self.pending0 = pending
         self.initial_ready = [u for u, p in enumerate(pending) if p == 0]
         self.sole_dependents = [tuple([d for d in ds if pending[d] == 1]) for ds in deps]
@@ -1165,3 +1160,57 @@ class CompiledBody:
                 mask[unit_of[i]] = True
         self.completion_mask = mask
         self.completion_total = sum(mask)
+
+
+class _CallSite:
+    """What one call node fixes for every frame it spawns on one branch: the
+    target body's name, the parent's node ids that fill the child's argument
+    slots, split into slots that one template per instance shares and slots
+    each child sets, where the child's outputs return, the call's slots that
+    none of them fills, and whether the parent records the child for a
+    gradient call. `FinalizedGraph` builds one per call node and branch. It
+    names its target rather than holding it, so that bodies and records form
+    no reference cycle and a dropped graph is freed at once."""
+
+    __slots__ = (
+        "name", "branch", "shared", "own", "ret", "untaken", "unit", "site", "fwd_site", "record",
+    )
+
+    def __init__(self, registry: dict, bodies: dict, pbody: CompiledBody, nid: int, branch: int):
+        node = pbody.nodes[nid]
+        names = _target_names(node)
+        self.name, self.branch = names[branch], branch
+        body = bodies[self.name]
+        # the operands: the arguments (after a cond's predicate), then each
+        # target's captures, in `names` order
+        counts = [len(registry[t].captures) for t in names]
+        ids = pbody.inputs[nid]
+        start = len(ids) - sum(counts)
+        at = start + sum(counts[:branch])
+        ids = ids[1 if node.kind == "cond" else 0 : start] + ids[at : at + counts[branch]]
+        slots = body.arg_slots
+        if len(ids) != len(slots):
+            raise BuildError(
+                f"subgraph {self.name!r} expects {len(slots)} values "
+                f"(inputs plus captures), got {len(ids)}"
+            )
+        self.shared = [
+            (slot, i, pbody.row_slot[i]) for slot, i in zip(slots, ids) if body.shared[slot]
+        ]
+        self.own = [
+            (slot, i, pbody.row_slot[i], body.row_slot[slot])
+            for slot, i in zip(slots, ids) if not body.shared[slot]
+        ]
+        self.unit = pbody.unit_of[nid]
+        unit = into = pbody.unit_nodes[self.unit]  # the call node and its result slots
+        if node.kind == "cond_grad":  # the gradient of the branch the forward cond ran
+            p = node.payload
+            into = [unit[s] for s in (p.then_slots, p.else_slots)[branch]]
+        self.ret = tuple((i, o, body.row_slot[o], pbody.row_slot[i]) for i, o in zip(into, body.outputs))
+        # the slots no output fills, which hold None: the call node of a call
+        # with no outputs, and a cond gradient's other branch's capture slots
+        filled = {i for i, *_ in self.ret}
+        self.untaken = tuple(i for i in unit if i not in filled)
+        self.fwd_site = _mirrored_site(node)
+        self.site = nid if self.fwd_site is None else self.fwd_site
+        self.record = nid in pbody.recorded

@@ -251,21 +251,34 @@ def sink_put(sink: dict, top_id: int, v, own: bool):
     says whether v is its own (`own`: a fused product or a partial sum that
     nothing else holds), which a new entry adopts; anything else is a frame's
     value, which a new entry copies, so no frame value is ever written.
-    Mixing kinds in one entry raises TypeError."""
+    Row gradients that meet a dense entry or contribution are densified;
+    mixing a row table with anything else raises TypeError."""
     acc = sink.get(top_id)
     if acc is None:
         sink[top_id] = v.copy() if type(v) is np.ndarray and not own else v
     elif type(acc) is np.ndarray and type(v) is np.ndarray:
         acc += v
+    elif type(acc) is np.ndarray and type(v) is _g.RowGrads:
+        acc += v.to_dense().a
+    elif type(acc) is _g.RowGrads and type(v) is np.ndarray:
+        sink[top_id] = acc.to_dense().a + v  # a new private array
     else:
         sink[top_id] = add_grads(acc, v)
 
 
+def _dense(g):
+    """A dense gradient as an array: row gradients densified."""
+    return g.to_dense().a if type(g) is _g.RowGrads else g
+
+
 def add_grads(a, b):
     """The sum of two gradients of one node: dense tensors add, row-sparse
-    gradients concatenate their entries, and row tables add slot by slot."""
+    gradients concatenate their entries, row gradients and a dense tensor add
+    densified, and row tables add slot by slot."""
     if type(a) is not type(b):
-        raise TypeError(f"mixed {type(a).__name__} and {type(b).__name__} gradients in one sum")
+        if {type(a), type(b)} != {np.ndarray, _g.RowGrads}:
+            raise TypeError(f"mixed {type(a).__name__} and {type(b).__name__} gradients in one sum")
+        return _frozen(_dense(a) + _dense(b))
     if isinstance(a, _g.RowGrads):
         return a.merge(b)
     if isinstance(a, _g.RowTable):
@@ -319,8 +332,9 @@ def compile_body(g) -> tuple[list, list, list]:
 
 
 def row_valued(g) -> list[bool]:
-    """Per node id, whether its value is never a dense tensor: a row table,
-    row gradients, or a gradient sum over either. Such values never stack."""
+    """Per node id, whether its value may be other than a dense tensor: a row
+    table, row gradients, or a gradient sum over either (dense where row
+    gradients meet a dense one). Such values never stack."""
     rows = [False] * len(g.nodes)
     for node in g.nodes:
         rows[node.id] = (

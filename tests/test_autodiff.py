@@ -482,7 +482,6 @@ class TestCondRouting:
                 then_name="GA",
                 else_name="GB",
                 n_args=1,
-                cap_counts=(0, 0),
                 then_slots=(0,),
                 else_slots=(0,),
             ),
@@ -493,6 +492,23 @@ class TestCondRouting:
             ExecutionError, match="forward/backward mismatch: no branch record"
         ):
             run(fg, {}, [bad])
+
+    def test_call_arity_mismatch_fails_at_finalize(self):
+        g = Graph()
+        ga = g.declare_subgraph("GA", [(1, 1)], [(1, 1)])
+        b = g.body(ga)
+        b.set_outputs([b.args[0]])
+        g.define_subgraph(ga, b)
+        dout = g.constant(Tensor.scalar(1.0))
+        payload = CondGradPayload(
+            cond_site=99, then_name="GA", else_name="GA", n_args=1,
+            then_slots=(0,), else_slots=(0,),
+        )
+        g.add_node("cond_grad", (dout, dout), payload=payload, shape=Shape(1, 1))
+        with pytest.raises(
+            BuildError, match=r"^subgraph 'GA' expects 1 values \(inputs plus captures\), got 2$"
+        ):
+            g.finalize()
 
 
 class TestSparseAndTables:
@@ -519,6 +535,54 @@ class TestSparseAndTables:
         want[2] = 2.0  # same row gathered twice: contributions sum
         want[4] = 1.0
         np.testing.assert_array_equal(dense, want)
+
+    def test_parameter_gathered_and_used_densely(self):
+        # F's gradient adds row gradients of W to its sink entry, G's a dense
+        # one: the entry sums them densified
+        g = Graph()
+        w = g.parameter("W", (3, 2))
+        i = g.placeholder((1, 1), "i")
+        f = g.declare_subgraph("F", [(1, 1)], [(1, 2)])
+        fb = g.body(f)
+        fb.set_outputs([fb.gather_row(w, fb.args[0])])
+        g.define_subgraph(f, fb)
+        h = g.declare_subgraph("G", [(1, 2)], [(1, 2)])
+        hb = g.body(h)
+        (r,) = hb.args
+        hb.set_outputs([hb.transpose(hb.matmul(hb.transpose(w), hb.matmul(w, hb.transpose(r))))])
+        g.define_subgraph(h, hb)
+        (o,) = g.invoke(h, g.invoke(f, [i]))
+        loss = g.matmul(o, g.constant(Tensor.ones(2, 1)))
+
+        def f_np(wv):
+            r = wv[1:2]
+            return float((wv.T @ (wv @ r.T)).sum())
+
+        w0 = np.random.default_rng(5).normal(size=(3, 2))
+        lv, grads = grads_of(g, loss, [w], {"i": Tensor.scalar(1.0)}, {"W": Tensor.from_array(w0)})
+        assert lv == pytest.approx(f_np(w0), rel=1e-12)
+        np.testing.assert_allclose(grads["W"].a, fd_grad(f_np, w0), rtol=1e-6, atol=1e-9)
+
+    @pytest.mark.parametrize("first_dense", [True, False])
+    def test_sink_sums_row_and_dense_gradients(self, first_dense):
+        from rdg import RowTable
+        from rdg.kernels import add_grads, sink_put
+
+        rows = RowGrads(3, 2, [(1, np.array([[1.0, 2.0]])), (1, np.array([[0.5, 0.5]]))])
+        dense = np.arange(6.0).reshape(3, 2)
+        dense.flags.writeable = False  # a frame's value
+        want = dense.copy()
+        want[1] += [1.5, 2.5]
+        sink = {}
+        for v in (dense, rows) if first_dense else (rows, dense):
+            sink_put(sink, 0, v, False)
+        assert sink[0].flags.writeable  # still a private array
+        sink_put(sink, 0, dense, False)
+        np.testing.assert_array_equal(sink[0], want + dense)
+        np.testing.assert_array_equal(add_grads(rows, dense), want)
+        np.testing.assert_array_equal(add_grads(dense, rows), want)
+        with pytest.raises(TypeError, match="mixed RowTable and ndarray"):
+            add_grads(RowTable.zeros(3, 2), dense)
 
     def test_overwritten_table_slot_gets_no_gradient(self):
         from rdg import RowTable

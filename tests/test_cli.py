@@ -109,6 +109,15 @@ class TestArgumentDefaults:
         ["bench", "--suite", "scaling", "--out", "b.csv", "--runs", "0"],
         ["bench", "--suite", "scaling", "--out", "b.csv", "--warmup", "-1"],
         ["bench", "--suite", "scaling", "--out", "b.csv", "--hidden", "0"],
+        ["train", "--data", "x.txt", "--capacity", "-1"],
+        ["bench", "--suite", "balancedness", "--out", "b.csv", "--leaves", "6"],
+        ["bench", "--suite", "balancedness", "--out", "b.csv", "--leaves", "0"],
+        ["gendata", "--shape", "linear", "--out", "c.txt", "--leaves", "4", "--count", "0"],
+        ["gendata", "--shape", "linear", "--out", "c.txt", "--count", "1", "--leaves", "0"],
+        ["gendata", "--shape", "linear", "--out", "c.txt", "--leaves", "4", "--count", "1",
+         "--vocab", "0"],
+        ["gendata", "--shape", "linear", "--out", "c.txt", "--leaves", "4", "--count", "1",
+         "--classes", "0"],
     ], ids=lambda argv: "/".join(argv[-2:]))
     def test_count_out_of_range_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as e:

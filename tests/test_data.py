@@ -103,6 +103,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             data.generate_synthetic("balanced", 6, 10, 2, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("vocab,classes,what", [(0, 2, "vocab_size"), (10, 0, "n_classes")])
+    def test_empty_vocabulary_or_label_set_rejected(self, vocab, classes, what):
+        with pytest.raises(ValueError, match=f"{what} must be >= 1"):
+            data.generate_synthetic("linear", 4, vocab, classes, np.random.default_rng(0))
+
     def test_moderate_deterministic_per_seed(self):
         a = data.generate_synthetic("moderate", 8, 10, 2, np.random.default_rng(7))
         b = data.generate_synthetic("moderate", 8, 10, 2, np.random.default_rng(7))

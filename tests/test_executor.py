@@ -306,6 +306,76 @@ class TestRecursionMechanics:
         assert re.search(r"at key \d.*recursion depth 513 exceeds limit 512", msg)
         assert len(msg) < 300, msg
 
+    def test_depth_limit_message_in_full(self):
+        # the top's call site is node 1 and Loop's own node 2, so the key's
+        # first 8 sites are 1 and seven 2s, and its last 8 are 2s; the key is
+        # the failing caller's, 512 sites deep
+        g = Graph()
+        f = g.declare_subgraph("Loop", *scalar_sig())
+        fb = g.body(f)
+        (call,) = fb.invoke(f, [fb.tanh(fb.args[0])])
+        fb.set_outputs([call])
+        g.define_subgraph(f, fb)
+        (y,) = g.invoke(f, [g.placeholder((1, 1), "x")])
+        assert (y.id, call.id) == (1, 2)
+        with pytest.raises(ExecutionError) as e:
+            run(g.finalize(), {"x": Tensor.scalar(1.0)}, [y])
+        key = "/".join(["1"] + ["2"] * 7) + "/.../" + "/".join(["2"] * 8) + " (depth 512)"
+        assert str(e.value) == f"node 2 (invoke) at key {key}: recursion depth 513 exceeds limit 512"
+
+    def test_gradient_frame_error_names_its_forward_frames_key(self, monkeypatch):
+        # Base squares its argument. With `square` failing, the forward run
+        # names the Base frame's key; with `square_bwd` failing, the gradient
+        # run names Base__grad's frame, which mirrors it and has its key
+        g = Graph()
+        f = g.declare_subgraph("F", *scalar_sig())
+        step = g.declare_subgraph("Step", *scalar_sig())
+        base = g.declare_subgraph("Base", *scalar_sig())
+        fb = g.body(f)
+        fb.set_outputs(fb.cond(fb.args[0], step, base, [fb.args[0]]))
+        g.define_subgraph(f, fb)
+        sb = g.body(step)
+        (m,) = sb.args
+        rec = sb.invoke(f, [sb.add(m, sb.constant(Tensor.scalar(-1.0)))])
+        sb.set_outputs([sb.hadamard(m, rec[0])])
+        g.define_subgraph(step, sb)
+        bb = g.body(base)
+        bb.set_outputs([bb.square(bb.args[0])])
+        g.define_subgraph(base, bb)
+        x = g.placeholder((1, 1), "x")
+        (y,) = g.invoke(f, [x])
+        failing = {"square", "square_bwd"}
+
+        def raising(orig):
+            def make(tag):
+                if tag not in failing:
+                    return orig(tag)
+
+                def fail(*_):
+                    raise FloatingPointError(f"{tag} failed")
+
+                return fail
+
+            return make
+
+        monkeypatch.setattr(kernels, "_unary_fn", raising(kernels._unary_fn))
+        monkeypatch.setattr(kernels, "_binary_fn", raising(kernels._binary_fn))
+        feeds = {"x": Tensor.scalar(3.0)}  # F, then Step at 3, 2 and 1, then Base
+
+        def key_of(graph, fetch):
+            with pytest.raises(ExecutionError) as e:
+                run(graph, feeds, [fetch])
+            return re.match(r"node \d+ \((?:un|bin)ary\) at key (\S+): square", str(e.value))[1]
+
+        fg = g.finalize()
+        fwd_key = key_of(fg, y)
+        failing.discard("square")
+        gfin, gm = differentiate(fg, y, [x])
+        cond_f = fg.bodies["F"].kinds.index("cond")
+        cond_step = fg.bodies["Step"].kinds.index("cond")  # F's cond, inlined
+        assert fwd_key == f"{y.id}/{cond_f}/{cond_step}/{cond_step}/{cond_step}"
+        assert key_of(gfin, gm.param_grads["x"]) == fwd_key
+
     def test_runtime_error_carries_node_and_key(self):
         g = Graph()
         f = g.declare_subgraph("F", [(1, 1)], [(1, 1)])

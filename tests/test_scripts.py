@@ -23,13 +23,24 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ["profile_step.py", "--leaves", "4", "--batch", "2", "--top", "3"],
 ], ids=lambda argv: argv[0])
 def test_script_exits_zero(argv, tmp_path):
+    out = _run_script(argv, tmp_path)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--hidden", "--max-leaves"])
+def test_grad_check_count_below_one_is_usage_error(flag, tmp_path):
+    out = _run_script(["run_grad_check.py", "--kinds", "treernn", flag, "0"], tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert flag in out.stderr
+
+
+def _run_script(argv, cwd):
     src = os.path.dirname(os.path.dirname(rdg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert out.returncode == 0, out.stderr
 
 
 def test_mini_corpus_script_reproduces_bundled_corpus(monkeypatch):
