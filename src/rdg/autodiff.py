@@ -453,7 +453,6 @@ def _vjp_cond(ctx: _Context, node):
         cond_site=node.id,
         then_name=g_then.name,
         else_name=g_else.name,
-        n_args=n_args,
         then_slots=then_slots,
         else_slots=else_slots,
     )

@@ -53,6 +53,9 @@ def cmd_train(args) -> int:
         log.error("corpus %s is empty", args.data)
         return 1
     val = load_corpus(args.val, vocab, grow=True) if args.val else None
+    if args.val and not val:
+        log.error("corpus %s is empty", args.val)
+        return 1
     classes = max(max(t.labels) for t in corpus) + 1
     capacity = args.capacity or max(t.n_nodes for t in corpus + (val or []))
     model = build_model(

@@ -93,6 +93,9 @@ sink reads is fused the same way: the sink adds one row gradient per
 instance, its rows from that instance's contiguous frames. Smaller groups add
 frame by frame, a fused product straight from its operands. The summation
 order follows from the group alone.
+
+A failure raises where it happens, as an `ExecutionError` that names the
+node, its kind and the frame's key (`_failed`): the first failure ends the run.
 """
 
 from __future__ import annotations
@@ -217,6 +220,11 @@ def _key_str(f: _Frame) -> str:
     return "/".join(sites) or "-"
 
 
+def _failed(exc: BaseException, f: _Frame, nid: int) -> ExecutionError:
+    """The run's error for exc, which node nid raised in frame f."""
+    return ExecutionError(f"node {nid} ({f.body.kinds[nid]}) at key {_key_str(f)}: {exc}")
+
+
 def _template(body) -> list:
     """A new frame's values: constants set, everything else pending; then
     where values that lie in stacks are (see `CompiledBody.row_slot`); then,
@@ -229,14 +237,12 @@ def _template(body) -> list:
 
 class _RunState:
     __slots__ = (
-        "bodies", "opts", "error", "ready", "peak", "trace", "tracing", "stacked", "tops",
-        "tables",
+        "bodies", "opts", "ready", "peak", "trace", "tracing", "stacked", "tops", "tables",
     )
 
     def __init__(self, g: FinalizedGraph, opts: RunOptions):
         self.bodies = g.bodies  # name -> body, the targets of call records
         self.opts = opts
-        self.error: tuple | None = None
         # (body, unit) -> frames ready there for the next round, in the
         # order they were readied
         self.ready: dict = {}
@@ -248,10 +254,6 @@ class _RunState:
         # top-level node id -> the instances' tables it holds, joined (see
         # `_tables`)
         self.tables: dict = {}
-
-    def fail(self, exc: BaseException, frame: _Frame, nid: int):
-        if self.error is None:
-            self.error = (exc, _key_str(frame), nid, frame.body.kinds[nid])
 
     def record(self, body, nid: int, frames):
         ts = time.monotonic_ns() // 1000
@@ -415,11 +417,8 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
     for parent in parents:
         depth = parent.depth + 1
         if depth > limit:
-            state.fail(
-                ExecutionError(f"recursion depth {depth} exceeds limit {limit}"),
-                parent, nid,
-            )
-            return
+            exc = ExecutionError(f"recursion depth {depth} exceeds limit {limit}")
+            raise _failed(exc, parent, nid) from exc
         pvals = parent.values
         inst = parent.inst
         if inst is not counted:
@@ -448,8 +447,8 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
             fwd = (parent.children or {}).pop(fwd_site, None)
             if fwd is None:
                 msg = f"forward/backward mismatch: no forward frame for call site {site}"
-                state.fail(ExecutionError(msg), parent, nid)
-                return
+                exc = ExecutionError(msg)
+                raise _failed(exc, parent, nid) from exc
             fv = fwd.values
             for r, c, pairs in fwd_units:
                 values[c] = fv[r]
@@ -475,7 +474,7 @@ def _spawn(state: _RunState, s: _CallSite, parents, nid: int):
         _settle(state, parents[0].body, s.unit, parents)
 
 
-def _branches(state: _RunState, body, nid: int, calls, frames) -> tuple:
+def _branches(body, nid: int, calls, frames) -> tuple:
     """The frames on each branch of call node nid, indexed as its records
     `calls` are: an invoke's all on its one branch, a cond's by its
     predicate, and a cond gradient's by the branch its mirrored forward cond
@@ -503,9 +502,8 @@ def _branches(state: _RunState, body, nid: int, calls, frames) -> tuple:
     for f in frames:
         child = (f.children or {}).get(site)
         if child is None:
-            msg = f"forward/backward mismatch: no branch record for node {site}"
-            state.fail(ExecutionError(msg), f, nid)
-            break
+            exc = ExecutionError(f"forward/backward mismatch: no branch record for node {site}")
+            raise _failed(exc, f, nid) from exc
         taken[child.call.branch].append(f)
     return taken
 
@@ -531,8 +529,8 @@ def _run_control(state: _RunState, body, nid: int, frames):
             f.values[nid] = _sink_read(f.inst.sink, *payload)
         _settle(state, body, body.unit_of[nid], frames)
         return
-    for s, parents in zip(calls, _branches(state, body, nid, calls, frames)):
-        if parents and state.error is None:
+    for s, parents in zip(calls, _branches(body, nid, calls, frames)):
+        if parents:
             _spawn(state, s, parents, nid)
 
 
@@ -700,25 +698,24 @@ def _keep(state: _RunState, body, u: int, frames, grp: _Group):
             v[slot + 1] = j
 
 
-def _unresolved(body, u: int, frames):
-    """(error, frame, node id) if an input from outside unit u is still
-    pending in some frame, else None."""
+def _check_resolved(body, u: int, frames):
+    """Raise if an input from outside unit u is still pending in a frame."""
     for nid in body.unit_nodes[u]:
         for i in body.inputs[nid]:
             if body.unit_of[i] == u:
                 continue
             for f in frames:
                 if _ref(f, i) is _PENDING:
-                    return ExecutionError(
+                    exc = ExecutionError(
                         f"scheduling bug: node {nid} ran before input {i} "
                         f"resolved at key {_key_str(f)}"
-                    ), f, nid
-    return None
+                    )
+                    raise _failed(exc, f, nid) from exc
 
 
 def _compute(state: _RunState, body, nid: int, frames, grp):
-    """Compute segment member `nid` for a group: None, or (exception, frame)
-    for the first frame that failed.
+    """Compute segment member `nid` for a group, raising for the first frame
+    that fails.
 
     In a batched pass (`grp` is a `_Group`, for groups of `_BATCH_MIN`
     frames or more) a member with a batched variant runs once over stacked
@@ -730,7 +727,8 @@ def _compute(state: _RunState, body, nid: int, frames, grp):
         state.record(body, nid, frames)
     sink = body.sinks[nid]
     if sink is not None:
-        return _sink_add(state, body, nid, sink, frames, grp)
+        _sink_add(state, body, nid, sink, frames, grp)
+        return
     batched = None if grp is None else body.batched[nid]
     if batched is not None:
         ids = body.inputs[nid]
@@ -742,7 +740,7 @@ def _compute(state: _RunState, body, nid: int, frames, grp):
             else:
                 ops = _operands(body, ids, frames, grp)
             grp.stacks[nid] = _stack(batched(*ops), len(frames))
-            return None
+            return
         except Exception:  # noqa: BLE001 - the per-frame kernels below name the frame
             pass
     if grp is not None or state.stacked:
@@ -752,8 +750,7 @@ def _compute(state: _RunState, body, nid: int, frames, grp):
         try:
             f.values[nid] = kernel(f.values)
         except Exception as exc:  # noqa: BLE001 - reported with full context
-            return exc, f
-    return None
+            raise _failed(exc, f, nid) from exc
 
 
 def _unstack(ids, frames, grp):
@@ -799,7 +796,7 @@ def _by_instance(frames, grp: _Group):
 
 def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
     """Sink member `nid`: add each frame's contribution to its instance's
-    sink entry. None, or (exception, frame) for the first frame that failed.
+    sink entry, raising for the first frame that fails.
 
     A batched pass reduces the stacked contributions once per instance, in
     the group's frame order, and adds one partial per instance: a fused
@@ -850,8 +847,8 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
                 try:
                     sink_put(inst.sink, top_id, part, True)
                 except TypeError as exc:
-                    return exc, next(f for f in frames if f.inst is inst)
-            return None
+                    raise _failed(exc, next(f for f in frames if f.inst is inst), nid) from exc
+            return
     if grp is not None or state.stacked:
         _unstack(ids, frames, grp)
     for f in frames:
@@ -866,28 +863,21 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
         try:
             sink_put(f.inst.sink, top_id, v, product is not None)
         except TypeError as exc:
-            return exc, f
-    return None
+            raise _failed(exc, f, nid) from exc
 
 
 def _run_members(state: _RunState, body, steps, frames, grp):
-    """Compute a segment's members in order: None, or (exception, frame,
-    node id) for the first that failed."""
+    """Compute a segment's members in order; the first that fails raises."""
     for m in steps:
-        err = _compute(state, body, m, frames, grp)
-        if err is not None:
-            return err[0], err[1], m
-    return None
+        _compute(state, body, m, frames, grp)
 
 
 def _run_compiled(state: _RunState, body, u: int, seg, frames):
-    """Run compiled segment u for a group, one call per frame: None, or
-    (exception, frame, node id) for the first member that failed.
+    """Run compiled segment u for a group, one call per frame.
 
     The held-back sink adds go in last, member by member. A failure reruns
-    the group through the member loop, which names the failing member and
-    frame as it always does; the run is failing, so what the first pass
-    added to the sinks no longer matters.
+    the group through the member loop, which raises for the failing member
+    and frame; the run ends, so the first pass's sink adds no longer matter.
     """
     if state.tracing:
         for m in seg.members:
@@ -903,9 +893,8 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
             for sink, v in adds:
                 sink_put(sink, top, v, own)
     except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
-        err = _run_members(state, body, body.steps[u], frames, None)
-        return err if err is not None else (exc, frames[0], seg.members[0])
-    return None
+        _run_members(state, body, body.steps[u], frames, None)
+        raise _failed(exc, frames[0], seg.members[0]) from exc
 
 
 def _compiled(body, u: int):
@@ -924,35 +913,26 @@ def _round(state: _RunState):
     state.ready = {}
     for (body, u), frames in groups.items():
         if state.opts.debug:
-            bad = _unresolved(body, u, frames)
-            if bad is not None:
-                state.fail(*bad)
-                return
+            _check_resolved(body, u, frames)
         steps = body.steps[u]
         if steps is None:
             nid = body.unit_nodes[u][0]
             if state.tracing:
                 state.record(body, nid, frames)
             _run_control(state, body, nid, frames)
-            if state.error is not None:
-                return
             continue
         if state.opts.instrument:
             state.peak = max(state.peak, len(frames))
         if len(frames) >= _BATCH_MIN:
             grp = _Group()
-            error = _run_members(state, body, steps, frames, grp)
-            if error is None:
-                _keep(state, body, u, frames, grp)
+            _run_members(state, body, steps, frames, grp)
+            _keep(state, body, u, frames, grp)
         else:
             seg = _compiled(body, u)
             if seg:
-                error = _run_compiled(state, body, u, seg, frames)
+                _run_compiled(state, body, u, seg, frames)
             else:
-                error = _run_members(state, body, steps, frames, None)
-        if error is not None:
-            state.fail(*error)
-            return
+                _run_members(state, body, steps, frames, None)
         _settle(state, body, u, frames)
 
 
@@ -1041,13 +1021,10 @@ def run_batch(
         state.ready[(top, u)] = tops.copy()
 
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
-    while state.ready and state.error is None:
+    while state.ready:
         if deadline is not None and time.monotonic() > deadline:
             raise ExecutionError(f"run timed out after {opts.timeout_s}s")
         _round(state)
-    if state.error is not None:
-        exc, key, nid, kind = state.error
-        raise ExecutionError(f"node {nid} ({kind}) at key {key}: {exc}") from exc
     results = []
     for frame in tops:
         xs = [_ref(frame, i) for i in fetch_ids]

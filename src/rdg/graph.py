@@ -852,7 +852,6 @@ class CondGradPayload(NamedTuple):
     cond_site: int
     then_name: str
     else_name: str
-    n_args: int
     then_slots: tuple  # union-layout position of each then-branch output
     else_slots: tuple
 

@@ -481,7 +481,6 @@ class TestCondRouting:
                 cond_site=99,
                 then_name="GA",
                 else_name="GB",
-                n_args=1,
                 then_slots=(0,),
                 else_slots=(0,),
             ),
@@ -501,7 +500,7 @@ class TestCondRouting:
         g.define_subgraph(ga, b)
         dout = g.constant(Tensor.scalar(1.0))
         payload = CondGradPayload(
-            cond_site=99, then_name="GA", else_name="GA", n_args=1,
+            cond_site=99, then_name="GA", else_name="GA",
             then_slots=(0,), else_slots=(0,),
         )
         g.add_node("cond_grad", (dout, dout), payload=payload, shape=Shape(1, 1))

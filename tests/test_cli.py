@@ -181,6 +181,17 @@ class TestTrainCommand:
         rc = main(["train", "--data", str(tmp_path / "nope.txt")])
         assert rc == 1
 
+    def test_empty_val_corpus_fails_before_training(self, trained, tmp_path, caplog):
+        corpus, _, _ = trained
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        metrics = tmp_path / "metrics.csv"
+        rc = main(["train", "--data", str(corpus), "--val", str(empty), "--hidden", "4",
+                   "--epochs", "1", "--metrics", str(metrics)])
+        assert rc == 1
+        assert f"corpus {empty} is empty" in caplog.text
+        assert not metrics.exists()  # rejected before any epoch ran
+
 
 class TestInferCommand:
     def test_predictions_and_summary(self, trained, capsys):

@@ -1237,6 +1237,32 @@ def _stalling_countdown(stall: float):
     return g.finalize(), y
 
 
+def _countdown_to_table():
+    """F(n) = n * F(n - 1) down to Base, which adds row `i` of the 3x1
+    parameter table to its argument; differentiated for the table."""
+    g = Graph()
+    f = g.declare_subgraph("F", *scalar_sig())
+    step = g.declare_subgraph("Step", *scalar_sig())
+    base = g.declare_subgraph("Base", *scalar_sig())
+    table = g.parameter("table", (3, 1))
+    i = g.placeholder((1, 1), "i")
+    fb = g.body(f)
+    (n,) = fb.args
+    fb.set_outputs(fb.cond(n, step, base, [n]))
+    g.define_subgraph(f, fb)
+    sb = g.body(step)
+    (m,) = sb.args
+    (rec,) = sb.invoke(f, [sb.add(m, sb.constant(Tensor.scalar(-1.0)))])
+    sb.set_outputs([sb.hadamard(m, rec)])
+    g.define_subgraph(step, sb)
+    bb = g.body(base)
+    bb.set_outputs([bb.add(bb.args[0], bb.gather_row(table, i))])
+    g.define_subgraph(base, bb)
+    (y,) = g.invoke(f, [g.placeholder((1, 1), "x")])
+    fg, gm = differentiate(g.finalize(), y, [table])
+    return fg, [gm.loss, gm.param_grads["table"]]
+
+
 class TestStop:
     """A failed or timed-out run stops within a bound."""
 
@@ -1259,6 +1285,40 @@ class TestStop:
         with pytest.raises(ExecutionError, match=r"\(gather_row\) .*row 7 out of range"):
             run_batch(fg, feeds, [y], RunOptions(threads=2))
         assert time.monotonic() - t0 < 1.0
+
+    def test_graph_runs_again_after_each_failure(self):
+        # One graph fails at the depth guard, in a batched group (8 Base
+        # frames, one row out of range) and in a compiled group (one Base
+        # frame). After each failure it runs valid feeds bit-identically to a
+        # freshly finalized graph: a failure leaves nothing on the graph.
+        params = {"table": Tensor.from_array(np.array([[0.5], [-1.0], [2.0]]))}
+        valid = [
+            {"x": Tensor.scalar(float(1 + k % 3)), "i": Tensor.scalar(float(k % 3))}
+            for k in range(9)
+        ]
+
+        def results(fg, fetches):
+            rs = run_batch(fg, valid, fetches, RunOptions(), params)
+            rs.append(run(fg, valid[0], fetches, RunOptions(), params))
+            return [_dense(v) for r in rs for v in r.values]
+
+        want = results(*_countdown_to_table())
+        fg, fetches = _countdown_to_table()
+        bad_row = [
+            {"x": Tensor.scalar(2.0), "i": Tensor.scalar(7.0 if k == 5 else 1.0)} for k in range(8)
+        ]
+        failures = [
+            ([{"x": Tensor.scalar(10.0), "i": Tensor.scalar(0.0)}],
+             RunOptions(max_recursion_depth=4), "recursion depth 5 exceeds limit 4"),
+            (bad_row, RunOptions(), r"\(gather_row\) at key .*row 7 out of range"),
+            (bad_row[5:6], RunOptions(), r"\(gather_row\) at key .*row 7 out of range"),
+        ]
+        for feeds, opts, msg in failures:
+            with pytest.raises(ExecutionError, match=msg):
+                run_batch(fg, feeds, fetches, opts, params)
+            got = results(fg, fetches)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestCache:

@@ -4,6 +4,7 @@ bundled corpus: its `build_corpus()` is checked against that file instead."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,25 @@ def test_grad_check_count_below_one_is_usage_error(flag, tmp_path):
     out = _run_script(["run_grad_check.py", "--kinds", "treernn", flag, "0"], tmp_path)
     assert out.returncode == 2, out.stderr
     assert flag in out.stderr
+
+
+def test_result_hashes_prints_one_line_per_check(tmp_path):
+    out = _run_script(["result_hashes.py"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert all(re.fullmatch(r"[\w.-]+ [0-9a-f]{16}", line) for line in lines), lines
+    names = [line.split()[0] for line in lines]
+    grads = [
+        f"{kind}.{mode}.batch{k}"
+        for kind in ("treernn", "rntn", "treelstm")
+        for mode in ("recursive", "iterative")
+        for k in (10, 3, 1)
+    ]
+    assert names == [
+        "train-lstm-balanced", "train-lstm-balanced.step_grads",
+        "train-rnn-linear", "train-rnn-linear.step_grads",
+        "infer-reviews", "infer-lstm-wide", *grads, "treelstm.d8.trace",
+    ]
 
 
 def _run_script(argv, cwd):
