@@ -56,8 +56,13 @@ def cmd_train(args) -> int:
     if args.val and not val:
         log.error("corpus %s is empty", args.val)
         return 1
-    classes = max(max(t.labels) for t in corpus) + 1
-    capacity = args.capacity or max(t.n_nodes for t in corpus + (val or []))
+    both = corpus + (val or [])
+    classes = max(max(t.labels) for t in both) + 1
+    largest = max(t.n_nodes for t in both)
+    if args.mode == "iterative" and 0 < args.capacity < largest:
+        log.error("instance has %d nodes, built capacity is %d", largest, args.capacity)
+        return 1
+    capacity = args.capacity or largest
     model = build_model(
         ModelConfig(args.model, d=args.hidden, vocab=vocab.size, classes=classes,
                     per_node_loss=args.per_node_loss),

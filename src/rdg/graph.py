@@ -900,7 +900,7 @@ class SinkAdd(NamedTuple):
 
     top: int  # the top-level node whose sink entry it adds to
     ids: tuple  # its source's id, or a fused product's operand ids
-    product: object  # the fused per-frame product (see kernels.FUSED_SUMS), else None
+    product: object  # the fused source's per-frame maths (`kernels.maths`), else None
     swap: object  # whether to swap a fused product's operand axes, else None
     stacks: bool  # whether a batched group sums stacked operands (else frame by frame)
     table: object  # a fused `scatter_row`'s table shape, else None
@@ -1087,12 +1087,9 @@ class CompiledBody:
                 readers[src] == 1 and src not in held
             ):
                 steps[unit_of[src]].remove(src)
-                if tag == "scatter_row":
-                    table = self.payloads[src]
-                    fused = (kernels.scatter_fn(table), None, True, table)
-                else:
-                    fused = (*kernels.FUSED_SUMS[tag], True, None)
-                sinks[nd.id] = SinkAdd(nd.payload, self.inputs[src], *fused)
+                table = self.payloads[src] if tag == "scatter_row" else None
+                product, swap = kernels.maths(g.nodes[src]), kernels.FUSED_SUMS.get(tag)
+                sinks[nd.id] = SinkAdd(nd.payload, self.inputs[src], product, swap, True, table)
             else:
                 sinks[nd.id] = SinkAdd(nd.payload, (src,), None, None, not rows[src], None)
         # Per node whose value may lie in a stack (see the executor's `_keep`

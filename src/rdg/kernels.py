@@ -1,9 +1,12 @@
 """Per-node compute closures, compiled once at finalize, and per-segment
 functions, compiled on a segment's first use.
 
-Each kernel maps the frame's value list to the node's value. A dense value
-is a read-only float64 array: a kernel reads its operands' arrays as they
-are and freezes the array it returns. Control kinds (invoke, cond,
+The maths of each kind is one function of its operand values (`maths`). A
+dense value is a read-only float64 array; the other values are row tables
+(`RowTable`) and row gradients (`RowGrads`), which the table kinds,
+`scatter_row` and `grad_accum` take and make. A node's per-frame kernel
+(`_build_strict`) reads its operands from the frame's value list, calls
+its maths and freezes a new array it returns. Control kinds (invoke, cond,
 cond_grad, the gradient sink's reads) have no kernel here; the scheduler
 interprets those, and a returning call writes its further outputs
 straight into its `result` slots, which have none either. The sink's adds
@@ -25,16 +28,16 @@ are plain arrays: a 2-D array is one value shared by every frame of the
 group (a parameter, a constant), a 3-D array stacks the k per-frame values
 along axis 0 (a `gather_row` table may also come as `Tables`, one per
 instance). It returns a 3-D array whose slice j is frame j's value, or a
-2-D array when every operand was shared. Any operand a batched variant
-cannot handle (a missing gradient, say) makes it raise; the
-scheduler then runs the node's per-frame kernels, which also name the
-failing frame.
+2-D array when every operand was shared. Where the stacked maths equal the
+per-frame maths, the batched variant is the maths function itself. Any
+operand a batched variant cannot handle (a missing gradient, say) makes it
+raise; the scheduler then runs the node's per-frame kernels, which also
+name the failing frame.
 
 A group too small to stack runs its segment through `compile_segment`: one
-generated function that runs every member for one frame on plain arrays.
-The maths of each kind is one function on arrays (`_dense_fn`), which both
-the per-frame kernels and the generated code call; the generated code
-freezes only the arrays it writes to the frame.
+generated function that calls every member's maths for one frame on local
+values, and writes only the values that something outside the segment
+reads to the frame.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ CONTROL_KINDS = frozenset({"invoke", "cond", "cond_grad", "grad_out"})
 PLUMBING_KINDS = frozenset({"grad_accum"})
 INIT_KINDS = frozenset(
     {"const", "none_const", "input", "capture", "fwd_value", "placeholder", "parameter"}
+)
+# Kinds whose value may be, or hold, one of their operands: it is not a new
+# array, so the operands are made read-only, not the value.
+_HOLDING = frozenset(
+    {"grad_accum", "scatter_row", "table_get", "table_set", "table_adj_scatter", "table_zero_slot"}
 )
 
 
@@ -102,24 +110,11 @@ _BINARY = {
 }
 
 
-# Products a sink sums over a group's frames as one gemm: the per-frame
-# product, and whether to swap the last two axes of both k-stacked operands
-# to bring it to the form a_jᵀ b_j. The sum over frames j is then Aᵀ B, with
-# A and B the operands' frames stacked row-wise.
-FUSED_SUMS = {
-    "matmul_nt": (_BINARY["matmul_nt"], True),
-    "matmul_tn": (_BINARY["matmul_tn"], False),
-}
-
-
-def scatter_fn(table):
-    """A `scatter_row`'s maths for a table of shape `table`: row d's
-    contribution to table row i."""
-
-    def scatter(d, i):
-        return _g.RowGrads.of(table.rows, table.cols, np.array([index_of(i)]), d)
-
-    return scatter
+# Products a sink sums over a group's frames as one gemm, and whether to swap
+# the last two axes of both k-stacked operands to bring the per-frame product
+# to the form a_jᵀ b_j. The sum over frames j is then Aᵀ B, with A and B the
+# operands' frames stacked row-wise.
+FUSED_SUMS = {"matmul_nt": True, "matmul_tn": False}
 
 
 def _binary_fn(tag):
@@ -148,101 +143,95 @@ def _xent_bwd(logits, label):
     return p
 
 
-def _dense_fn(node):
-    """The maths of a node whose value is a dense tensor, as a function of
-    its operands' arrays. None for the kinds that read or make row tables or
-    row gradients, and for `grad_accum`: their kernels take the frame."""
+def _accum(*parts):
+    """The sum of the gradients that flow (None if none does), in input order."""
+    parts = [p for p in parts if p is not None]
+    return functools.reduce(add_grads, parts) if parts else None
+
+
+def _slot(table, i) -> int:
+    """Index i of a slot of `table`, checked."""
+    i = index_of(i)
+    if not (0 <= i < len(table.slots)):
+        raise IndexError(f"slot {i} out of range for table of {len(table.slots)}")
+    return i
+
+
+def _table_get(table, i):
+    return table.slots[_slot(table, i)]
+
+
+def _table_set(table, i, col):
+    return table.set(_slot(table, i), col)
+
+
+def _t(x):
+    return x.swapaxes(-1, -2)
+
+
+def _bconcat(a, b):
+    if a.ndim != b.ndim:
+        if a.ndim == 2:
+            a = np.broadcast_to(a, (b.shape[0],) + a.shape)
+        else:
+            b = np.broadcast_to(b, (a.shape[0],) + b.shape)
+    return np.concatenate((a, b), axis=-2)
+
+
+_MATHS = {
+    "matmul": operator.matmul,
+    "transpose": _t,
+    "concat_rows": _bconcat,
+    "gather_row": _gather,
+    "softmax_xent": _xent,
+    "grad_accum": _accum,
+    "table_get": _table_get,
+    "table_set": _table_set,
+}
+
+
+def maths(node):
+    """The maths of `node` as a function of its operands' values, in input
+    order. The per-frame kernels, the compiled segments and the fused sink
+    adds call it; where the stacked maths are the same, it is also the
+    batched variant."""
     k = node.kind
-    if k == "matmul":
-        return operator.matmul
+    if k in _MATHS:
+        return _MATHS[k]
     if k == "unary":
         return _unary_fn(node.payload)
     if k == "binary":
         return _xent_bwd if node.payload == "softmax_xent_bwd" else _binary_fn(node.payload)
-    if k == "transpose":
-        return _t
     if k == "slice_rows":
         return operator.itemgetter(slice(*node.payload))
-    if k == "concat_rows":
-        return _bconcat
-    if k == "gather_row":
-        return _gather
-    if k == "softmax_xent":
-        return _xent
-    return None
-
-
-def _build_strict(node):
-    k = node.kind
-    ins = tuple(node.inputs)
-    f = _dense_fn(node)
-    if f is not None:
-        if len(ins) == 1:
-            (a,) = ins
-            return lambda v: _frozen(f(v[a]))
-        a, b = ins
-        return lambda v: _frozen(f(v[a], v[b]))
-    if k == "scatter_row":
-        a, b = ins
-        scatter = scatter_fn(node.payload)
-        return lambda v: scatter(v[a], v[b])
-    if k == "grad_accum":
-        return _build_grad_accum(ins)
-    if k == "table_get":
-        a, b = ins
-
-        def tget(v):
-            i = index_of(v[b])
-            t = v[a]
-            if not (0 <= i < len(t.slots)):
-                raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
-            return t.slots[i]
-
-        return tget
-    if k == "table_set":
-        a, b, c = ins
-
-        def tset(v):
-            t = v[a]
-            i = index_of(v[b])
-            if not (0 <= i < len(t.slots)):
-                raise IndexError(f"slot {i} out of range for table of {len(t.slots)}")
-            return t.set(i, v[c])
-
-        return tset
-    if k == "table_adj_scatter":
-        a, b = ins
-        shape = node.payload
-        base = _g.RowTable.zeros(shape.rows, shape.cols)
-
-        def tscatter(v):
-            i = index_of(v[b])
-            return base.set(i, v[a])
-
-        return tscatter
+    if k == "scatter_row":  # row d's contribution to row i of the payload's table
+        table = node.payload
+        return lambda d, i: _g.RowGrads.of(table.rows, table.cols, np.array([index_of(i)]), d)
+    if k == "table_adj_scatter":  # column d in slot i of a zero table
+        base = _g.RowTable.zeros(node.payload.rows, node.payload.cols)
+        return lambda d, i: base.set(index_of(i), d)
     if k == "table_zero_slot":
-        a, b = ins
-        zcol = None
-
-        def tzero(v):
-            nonlocal zcol
-            t = v[a]
-            if zcol is None or zcol.shape[0] != t.cols:
-                z = np.zeros((t.cols, 1))
-                z.flags.writeable = False
-                zcol = z
-            return t.set(index_of(v[b]), zcol)
-
-        return tzero
+        zero = _g.RowTable.zeros(1, node.shape.cols).slots[0]
+        return lambda table, i: table.set(index_of(i), zero)
     raise _g.BuildError(f"no kernel for kind {node.kind!r}")
 
 
-def _build_grad_accum(ins):
-    def accum(v):
-        parts = [v[i] for i in ins if v[i] is not None]
-        return functools.reduce(add_grads, parts) if parts else None
+def _build_strict(node, lenient=False):
+    """The per-frame kernel of `node`: `maths(node)` on the operands the
+    frame's value list holds, with a new array it returns made read-only
+    (a holding kind's value is not new). A `lenient` kernel gives None when
+    an operand is None."""
+    f = maths(node)
+    ins = tuple(node.inputs)
+    fresh = node.kind not in _HOLDING
 
-    return accum
+    def kernel(v):
+        ops = [v[i] for i in ins]
+        if lenient and any(x is None for x in ops):
+            return None
+        return _frozen(f(*ops)) if fresh else f(*ops)
+
+    return kernel
 
 
 def sink_put(sink: dict, top_id: int, v, own: bool):
@@ -289,16 +278,6 @@ def add_grads(a, b):
     return _frozen(a + b)
 
 
-def _none_prop(fn, ins):
-    def wrapped(v):
-        for i in ins:
-            if v[i] is None:
-                return None
-        return fn(v)
-
-    return wrapped
-
-
 def _lenient(mirrors, node) -> bool:
     """Whether node, of a body that mirrors forward body `mirrors` (or None),
     propagates None: gradient synthesis made it, and it does not sum
@@ -322,10 +301,7 @@ def compile_body(g) -> tuple[list, list, list]:
         k = node.kind
         if k in CONTROL_KINDS or k in INIT_KINDS or k in ("result", "sink_add"):
             continue
-        fn = _build_strict(node)
-        if _lenient(g.mirrors, node):
-            fn = _none_prop(fn, tuple(node.inputs))
-        fns[node.id] = fn
+        fns[node.id] = _build_strict(node, _lenient(g.mirrors, node))
         if not rows[node.id]:
             batched[node.id] = _build_batched(node)
     return fns, batched, rows
@@ -346,10 +322,6 @@ def row_valued(g) -> list[bool]:
 
 
 # -- batched variants ------------------------------------------------------
-
-
-def _t(x):
-    return x.swapaxes(-1, -2)
 
 
 def _bmatmul(a, b):
@@ -441,53 +413,37 @@ def _bxent_bwd(logits, label):
     return p
 
 
-def _bconcat(a, b):
-    if a.ndim != b.ndim:
-        if a.ndim == 2:
-            a = np.broadcast_to(a, (b.shape[0],) + a.shape)
-        else:
-            b = np.broadcast_to(b, (a.shape[0],) + b.shape)
-    return np.concatenate((a, b), axis=-2)
-
-
+# Batched variants whose stacked maths differ from the per-frame maths, by
+# kind or, for a binary node, by its function.
 _BATCHED = {
     "matmul": _bmatmul,
-    "transpose": _t,
-    "concat_rows": _bconcat,
     "gather_row": _bgather,
     "softmax_xent": _bxent,
     "grad_accum": lambda *parts: functools.reduce(np.add, parts),  # in add_grads' order
+    "softmax_xent_bwd": _bxent_bwd,
+    "scale": lambda x, s: x * (s if s.ndim == 3 else s[0, 0]),
+    "matmul_nt": lambda a, b: _bmatmul(a, _t(b)),
+    "matmul_tn": lambda a, b: _bmatmul(_t(a), b),
 }
 
 
 def _build_batched(node):
     k = node.kind
-    if k in _BATCHED:
-        return _BATCHED[k]
-    if k == "unary":
-        return _unary_fn(node.payload)
-    if k == "binary":
-        tag = node.payload
-        if tag == "softmax_xent_bwd":
-            return _bxent_bwd
-        if tag == "scale":
-            return lambda x, s: x * (s if s.ndim == 3 else s[0, 0])
-        if tag == "matmul_nt":
-            return lambda a, b: _bmatmul(a, _t(b))
-        if tag == "matmul_tn":
-            return lambda a, b: _bmatmul(_t(a), b)
-        return _binary_fn(tag)
+    tag = node.payload if k == "binary" else k
+    if tag in _BATCHED:
+        return _BATCHED[tag]
     if k == "slice_rows":
         start, stop = node.payload
         return lambda x: x[..., start:stop, :]
-    return None
+    return maths(node) if k in ("unary", "binary", "transpose", "concat_rows") else None
 
 
 # -- compiled segments -----------------------------------------------------
 
 
 class CompiledSegment(NamedTuple):
-    """A segment compiled to run for one frame at a time (`compile_segment`)."""
+    """A segment compiled to run for one frame at a time (`compile_segment`):
+    its members' maths on local values, with sink adds put in the sink."""
 
     run: Callable  # run(frame values, the instance's sink, held-back sink adds)
     members: tuple  # the members it runs, in the member loop's order
@@ -499,33 +455,29 @@ def compile_segment(body, u: int) -> CompiledSegment:
     """Segment u of `body` as one generated function that runs all its
     members for one frame, in the member loop's order (`body.steps`).
 
-    A member with array maths (`_dense_fn`) keeps its value as a local
-    array; only members that something outside the segment reads
-    (`exposed`), or that a member's kernel reads from the frame, are
-    written to the frame, frozen where they lie. The other kinds (row
-    tables, row gradients, `grad_accum`) run their kernel on the frame.
-    None-propagating members give None when an operand is None, as their kernels do. A sink
+    A member has one of two forms. A maths member calls its `maths`
+    function on its operands and keeps its value local: operands from
+    outside the segment are loaded from the frame once, and only members
+    that something outside the segment reads (`exposed`) are written to
+    the frame. A new array is made read-only where it lies when it is
+    written, or when a holding kind's value may hold it. None-propagating
+    members give None when an operand is None, as their kernels do. A sink
     add puts its contribution straight into the instance's sink, a fused
     product computed from its operands; a later sink add of the same entry
     is held back in `later` until the group's frames have all run, so every
     entry sums its contributions in the member loop's member-major order.
-    The maths of each member is the function the per-frame kernels use,
-    bound into the generated namespace; the source holds only node ids and
-    fixed text.
+    The maths functions are bound into the generated namespace; the source
+    holds only node ids and fixed text.
     """
     members = body.steps[u]
     nodes = body.nodes
-    dense = {m: _dense_fn(nodes[m]) for m in members if body.sinks[m] is None}
-    local = {m for m, f in dense.items() if f is not None}
-    framed = {m for m in local if body.exposed[m]}
-    for m in members:
-        if m not in local and body.sinks[m] is None:  # its kernel reads the frame
-            framed.update(j for j in body.inputs[m] if j in local)
+    local = {m for m in members if body.sinks[m] is None}
+    held = {j for m in local if body.kinds[m] in _HOLDING for j in body.inputs[m]}
     ns = {"put": sink_put}
     lines = ["def segment(v, sink, later):"]
     loaded = set()
 
-    def ref(j):  # the name of j's value: an array if local, else the frame's
+    def ref(j):  # the name of j's value: local if a member, else loaded from the frame
         if j in local:
             return f"x{j}"
         if j not in loaded:
@@ -557,21 +509,18 @@ def compile_segment(body, u: int) -> CompiledSegment:
                 tops.add(top)
             lines.append(f"    if {' and '.join(c + ' is not None' for c in checks)}:")
             lines.append(f"        {add}")
-        elif m in local:
-            ns[f"f{m}"] = dense[m]
-            call = f"f{m}({', '.join(ref(j) for j in ins)})"
-            lenient = _lenient(body.mirrors, nodes[m])
-            if lenient:
-                call = f"None if {' or '.join(ref(j) + ' is None' for j in ins)} else {call}"
-            lines.append(f"    x{m} = {call}")
-            if m in framed:
-                freeze = f"x{m}.flags.writeable = False"
-                lines.append(f"    if x{m} is not None: {freeze}" if lenient else f"    {freeze}")
-                lines.append(f"    v[{m}] = x{m}")
-        else:
-            ns[f"k{m}"] = body.kernels[m]
-            lines.append(f"    t{m} = v[{m}] = k{m}(v)")
-            loaded.add(m)
+            continue
+        ns[f"f{m}"] = maths(nodes[m])
+        call = f"f{m}({', '.join(ref(j) for j in ins)})"
+        lenient = _lenient(body.mirrors, nodes[m])
+        if lenient:
+            call = f"None if {' or '.join(ref(j) + ' is None' for j in ins)} else {call}"
+        lines.append(f"    x{m} = {call}")
+        if body.kinds[m] not in _HOLDING and (body.exposed[m] or m in held):
+            freeze = f"x{m}.flags.writeable = False"
+            lines.append(f"    if x{m} is not None: {freeze}" if lenient else f"    {freeze}")
+        if body.exposed[m]:
+            lines.append(f"    v[{m}] = x{m}")
     exec(compile("\n".join(lines), f"<segment {u}>", "exec"), ns)
     reads = {j for m in members for j in (body.sinks[m].ids if body.sinks[m] else body.inputs[m])}
     reads = tuple(sorted(j for j in reads if body.unit_of[j] != u and not body.shared[j]))

@@ -29,6 +29,7 @@ from .autodiff import GradientMap, differentiate
 from .data import TreeInstance, generate_synthetic
 from .executor import RunOptions, run, run_batch
 from .graph import FinalizedGraph, NodeHandle, RowGrads
+from .kernels import sink_put
 from .models import BuiltModel, ModelConfig, build_recursive, init_params, make_feeds
 from .oracle import oracle_forward
 from .tensor import Tensor
@@ -150,21 +151,16 @@ def adagrad_update(
 
 
 def sum_gradients(per_instance: list[dict]) -> dict:
-    """Fixed-order sum of per-instance gradient dicts (sparse stays sparse)."""
-    out = {}
-    for name in per_instance[0]:
-        gs = [d[name] for d in per_instance]
-        if all(isinstance(g, RowGrads) for g in gs):
-            merged = gs[0]
-            for g in gs[1:]:
-                merged = merged.merge(g)
-            out[name] = merged
-        else:
-            acc = _dense_arr(gs[0]).copy()
-            for g in gs[1:]:
-                acc += _dense_arr(g)
-            out[name] = Tensor._wrap(acc)
-    return out
+    """Fixed-order sum of per-instance gradient dicts, by the gradient sink's
+    rule (`kernels.sink_put`): dense sums are new arrays, row gradients
+    merge (sparse stays sparse), and row gradients that meet a dense one are
+    densified."""
+    sink: dict = {}
+    for d in per_instance:
+        for name in per_instance[0]:
+            g = d[name]
+            sink_put(sink, name, g.a if isinstance(g, Tensor) else g, False)
+    return {name: Tensor._wrap(g) if isinstance(g, np.ndarray) else g for name, g in sink.items()}
 
 
 # -- training ----------------------------------------------------------------

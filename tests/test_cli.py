@@ -192,6 +192,28 @@ class TestTrainCommand:
         assert f"corpus {empty} is empty" in caplog.text
         assert not metrics.exists()  # rejected before any epoch ran
 
+    def test_val_label_missing_from_training_corpus_trains(self, tmp_path):
+        # the class count covers the validation corpus's labels too
+        data, val = tmp_path / "train.txt", tmp_path / "val.txt"
+        data.write_text("(0 (0 a) (0 b))\n(1 (1 a) (1 b))\n")
+        val.write_text("(2 (2 a) (2 b))\n")
+        metrics = tmp_path / "metrics.csv"
+        rc = main(["train", "--data", str(data), "--val", str(val), "--hidden", "4",
+                   "--epochs", "1", "--metrics", str(metrics)])
+        assert rc == 0
+        assert len(read_metrics_csv(metrics)) == 1
+
+    def test_capacity_below_largest_instance_fails_before_training(self, tmp_path, caplog):
+        data = tmp_path / "train.txt"
+        data.write_text("(1 (0 a) (1 b))\n")
+        metrics = tmp_path / "metrics.csv"
+        rc = main(["train", "--data", str(data), "--mode", "iterative", "--capacity", "2",
+                   "--hidden", "4", "--epochs", "1", "--metrics", str(metrics)])
+        assert rc == 1
+        assert "instance has 3 nodes, built capacity is 2" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not metrics.exists()
+
 
 class TestInferCommand:
     def test_predictions_and_summary(self, trained, capsys):

@@ -921,6 +921,61 @@ class TestRunBatch:
                 assert np.abs(got - alone).max() <= 1e-12 * np.abs(alone).max(), name
                 assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + 1e-9), name
 
+    def test_batched_read_of_a_member_its_group_ran_frame_by_frame(self, monkeypatch):
+        # Internal's label gather is read by a later segment. When its
+        # batched variant raises, its group computes it frame by frame, so
+        # that group's record lacks it: a batched group that reads the label
+        # finds the record, misses the member there, and reads the values
+        # the frames hold. The losses stay bit-identical.
+        cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2, per_node_loss=True)
+        params = init_params(cfg, seed=2, scale=0.3)
+        rng = np.random.default_rng(11)
+        trees = [
+            generate_synthetic(shape, leaves, 10, 2, rng)
+            for shape, sizes in (
+                ("linear", (12, 9, 20, 14)), ("moderate", (16, 11, 24, 13)), ("balanced", (16, 8, 32, 4))
+            )
+            for leaves in sizes
+        ]
+
+        def losses(fail_at):
+            model = build_recursive(cfg)
+            body = model.graph.bodies["Internal"]
+
+            def reads_labels(nd):
+                t = body.nodes[nd.inputs[0]]
+                return t.kind == "capture" and t.payload.graph.nodes[t.payload.id].payload == "labels"
+
+            (nid,) = [nd.id for nd in body.nodes if nd.kind == "gather_row" and reads_labels(nd)]
+            batched, calls = body.batched[nid], []
+
+            def flaky(*ops):
+                calls.append(None)
+                if len(calls) == fail_at:
+                    raise ValueError("batched gather declined")
+                return batched(*ops)
+
+            body.batched[nid] = flaky
+            feeds = [make_feeds(model, t) for t in trees]
+            return [r.values[0].a for r in run_batch(model.graph, feeds, [model.loss], RunOptions(), params)]
+
+        want = losses(None)
+        missed = []
+        pick = executor._pick
+
+        def spy(where, i, k):
+            try:
+                return pick(where, i, k)
+            except KeyError:
+                missed.append(i)
+                raise
+
+        monkeypatch.setattr(executor, "_pick", spy)
+        got = losses(4)  # the 4th call's group is read by a later batched group
+        assert missed
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
     def test_failure_in_batched_group_names_the_failing_frame(self, monkeypatch):
         # Fan(m, n) splits n times into Fan(2m, n-1) and Fan(2m+1, n-1), so
         # the 8 Pick frames of each instance gather rows 0-7, their indices
@@ -1095,20 +1150,23 @@ def _compiled_segments(fg) -> list:
     return [c for body in [fg.top, *fg.bodies.values()] for c in body.compiled if c]
 
 
-def _gradient_run(kind: str, compiled: bool):
+def _gradient_run(kind: str, compiled: bool, mode: str = "recursive"):
     """Loss and parameter gradients of a small-tree batch, where most groups
     hold fewer than `_BATCH_MIN` frames, and the graph that computed them."""
     cfg = ModelConfig(kind, d=4, vocab=12, classes=3, per_node_loss=True)
-    model = build_recursive(cfg)
-    g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
-    if not compiled:
-        _member_loop_only(g)
-    params = init_params(cfg, seed=4, scale=0.5)
     rng = np.random.default_rng(9)
     trees = [
         generate_synthetic(shape, leaves, 10, 3, rng)
         for shape, leaves in (("linear", 5), ("moderate", 6), ("balanced", 4))
     ]
+    if mode == "recursive":
+        model = build_recursive(cfg)
+    else:
+        model = build_iterative(cfg, max(t.n_nodes for t in trees))
+    g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+    if not compiled:
+        _member_loop_only(g)
+    params = init_params(cfg, seed=4, scale=0.5)
     feeds = [make_feeds(model, t) for t in trees]
     fetches = [gm.loss] + [gm.param_grads[n] for n in gm.param_order]
     got = [run(g, f, fetches, RunOptions(), params).values for f in feeds]
@@ -1120,14 +1178,26 @@ class TestCompiledSegments:
     """A group under `_BATCH_MIN` frames runs its segment as one generated
     function per frame; the member loop is the reference."""
 
-    @pytest.mark.parametrize("kind", ["treernn", "rntn", "treelstm"])
-    def test_compiled_matches_member_loop_bit_for_bit(self, kind):
-        got, g = _gradient_run(kind, compiled=True)
-        want, _ = _gradient_run(kind, compiled=False)
+    @pytest.mark.parametrize(
+        "kind, mode",
+        [
+            pytest.param(kind, mode, id=kind if mode == "recursive" else f"{kind}-{mode}")
+            for mode in ("recursive", "iterative")
+            for kind in ("treernn", "rntn", "treelstm")
+        ],
+    )
+    def test_compiled_matches_member_loop_bit_for_bit(self, kind, mode):
+        got, g = _gradient_run(kind, True, mode)
+        want, _ = _gradient_run(kind, False, mode)
         segs = _compiled_segments(g)
         assert any(b.label.endswith("__grad") and any(b.compiled) for b in g.bodies.values())
-        if kind == "treelstm":  # two adds to bf's entry in one segment: one held back
+        if kind == "treelstm" and mode == "recursive":
+            # two adds to bf's entry in one segment: one held back
             assert any(seg.deferred for seg in segs)
+        if mode == "iterative":  # table and gradient-sum members run compiled too
+            bodies = [g.top, *g.bodies.values()]
+            ran = {b.kinds[m] for b in bodies for seg in b.compiled if seg for m in seg.members}
+            assert {"table_get", "table_set", "table_adj_scatter", "grad_accum"} <= ran
         for a, b in zip(got, want):
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)

@@ -159,6 +159,37 @@ class TestSignatures:
             assert (node.kind, node.payload, node.inputs) == ("result", j, [call])
 
 
+def _x(g, rows, cols):
+    """A fresh rows x cols placeholder of g."""
+    return g.placeholder((rows, cols), f"x{len(g.nodes)}")
+
+
+def _table(g):
+    return g.constant(RowTable.zeros(3, 4))
+
+
+def _define_with_foreign_body(g):
+    other = Graph()
+    body = other.body(other.declare_subgraph("F", *scalar_sig()))
+    body.set_outputs(body.args)
+    g.define_subgraph(g.declare_subgraph("F", *scalar_sig()), body)
+
+
+def _run_slot(slot, kind):
+    """Build and run a `kind` node at `slot` of a 3-slot table, raising the
+    kernel's own error."""
+
+    def build(g):
+        ops = [_table(g), g.constant(Tensor.scalar(float(slot))), g.constant(Tensor.zeros(4, 1))]
+        out = g.add_node(kind, ops[: 3 if kind == "table_set" else 2])
+        try:
+            run(g.finalize(), {}, [out])
+        except ExecutionError as e:
+            raise e.__cause__
+
+    return build
+
+
 class TestShapeInference:
     def test_matmul_mismatch_names_nodes(self):
         g = Graph()
@@ -247,6 +278,97 @@ class TestShapeInference:
         v = g.placeholder((3, 1), "v")
         with pytest.raises(BuildError, match="row must be 4x1"):
             g.table_set(t, i, v)
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            pytest.param(
+                lambda g: g.add_node("unary", (_x(g, 2, 2), _x(g, 2, 2)), payload="tanh"),
+                BuildError, r"unary takes 1 input\(s\), got 2", id="arity",
+            ),
+            pytest.param(
+                lambda g: g.matmul(_table(g), _x(g, 4, 1)),
+                BuildError, "matmul needs tensor operands, got table", id="matmul-table",
+            ),
+            pytest.param(
+                lambda g: g.binary(_x(g, 2, 2), _x(g, 2, 2), "scale"),
+                BuildError, "scale factor must be 1x1, got 2x2", id="scale-factor",
+            ),
+            pytest.param(
+                lambda g: g.binary(_x(g, 1, 3), _x(g, 1, 2), "softmax_xent_bwd"),
+                BuildError, "label index must be 1x1, got 1x2", id="xent-bwd-label",
+            ),
+            pytest.param(
+                lambda g: g.binary(_x(g, 2, 3), _x(g, 2, 2), "matmul_nt"),
+                BuildError, "matmul_nt: 2x3 vs 2x2", id="matmul-nt",
+            ),
+            pytest.param(
+                lambda g: g.binary(_x(g, 2, 3), _x(g, 3, 3), "matmul_tn"),
+                BuildError, "matmul_tn: 2x3 vs 3x3", id="matmul-tn",
+            ),
+            pytest.param(
+                lambda g: g.binary(_x(g, 2, 2), _x(g, 2, 2), "pow"),
+                BuildError, "unknown binary function 'pow'", id="unknown-binary",
+            ),
+            pytest.param(
+                lambda g: g.softmax_xent(_x(g, 1, 3), _x(g, 2, 1)),
+                BuildError, "softmax_xent label must be 1x1, got 2x1", id="xent-label",
+            ),
+            pytest.param(
+                lambda g: g.add_node("grad_accum", ()),
+                BuildError, "grad_accum needs at least one input", id="accum-empty",
+            ),
+            pytest.param(
+                lambda g: g.add_node("grad_accum", (_x(g, 2, 2), _x(g, 2, 3))),
+                BuildError, "grad_accum operands disagree: 2x2 vs 2x3", id="accum-shapes",
+            ),
+            pytest.param(
+                lambda g: g.table_get(_x(g, 2, 2), _x(g, 1, 1)),
+                BuildError, "table_get needs a row table, got 2x2", id="get-non-table",
+            ),
+            pytest.param(
+                lambda g: g.table_set(_x(g, 2, 2), _x(g, 1, 1), _x(g, 2, 1)),
+                BuildError, "table_set needs a row table, got 2x2", id="set-non-table",
+            ),
+            pytest.param(
+                lambda g: g.add_node("table_zero_slot", (_x(g, 2, 2), _x(g, 1, 1))),
+                BuildError, "table_zero_slot needs a row table, got 2x2", id="zero-non-table",
+            ),
+            pytest.param(
+                lambda g: g.add_node(
+                    "table_adj_scatter", (_x(g, 3, 1), _x(g, 1, 1)), payload=TableShape(3, 4)
+                ),
+                BuildError, "table_adj_scatter column must be 4x1, got 3x1", id="adj-column",
+            ),
+            pytest.param(
+                lambda g: g.add_node("fft", (_x(g, 2, 2),)),
+                BuildError, "cannot infer shape for kind 'fft'", id="unknown-kind",
+            ),
+            pytest.param(
+                lambda g: g.constant(np.zeros((2, 2))),
+                BuildError, "constant of unsupported type ndarray", id="constant-type",
+            ),
+            pytest.param(
+                lambda g: g.body(g.declare_subgraph("F", *scalar_sig())).finalize(),
+                BuildError, "finalize the top-level graph, not a body", id="finalize-body",
+            ),
+            pytest.param(
+                _define_with_foreign_body,
+                BuildError, "body was not created from this graph family", id="foreign-body",
+            ),
+            pytest.param(
+                _run_slot(3, "table_get"),
+                IndexError, "slot 3 out of range for table of 3", id="get-slot",
+            ),
+            pytest.param(
+                _run_slot(-1, "table_set"),
+                IndexError, "slot -1 out of range for table of 3", id="set-slot",
+            ),
+        ],
+    )
+    def test_build_errors(self, build, error, message):
+        with pytest.raises(error, match=message):
+            build(Graph())
 
 
 class TestCaptures:
