@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 
+from rdg.cli import _count
 from rdg.data import generate_dataset
 from rdg.models import ModelConfig, build_iterative, build_recursive, init_params
 from rdg.trainer import TrainConfig, evaluate, train
@@ -36,16 +37,16 @@ def time_to_target(model, train_set, val_set, args) -> tuple[float, int, float]:
 
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__)
-    p.add_argument("--train-count", type=int, default=2000)
-    p.add_argument("--val-count", type=int, default=500)
-    p.add_argument("--leaves", type=int, default=16)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--vocab", type=int, default=10)
-    p.add_argument("--batch", type=int, default=25)
+    p.add_argument("--train-count", type=_count(1), default=2000)
+    p.add_argument("--val-count", type=_count(1), default=500)
+    p.add_argument("--leaves", type=_count(1), default=16)
+    p.add_argument("--hidden", type=_count(1), default=16)
+    p.add_argument("--vocab", type=_count(1), default=10)
+    p.add_argument("--batch", type=_count(1), default=25)
     p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--threads", type=int, default=8)
+    p.add_argument("--threads", type=_count(1), default=8)
     p.add_argument("--target", type=float, default=0.93)
-    p.add_argument("--max-epochs", type=int, default=30)
+    p.add_argument("--max-epochs", type=_count(1), default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare-iterative", action="store_true",
                    help="also time the unrolled iterative baseline")

@@ -17,11 +17,14 @@ how the recursive form turns a wide frontier into less work even where a
 global interpreter lock serialises small numpy ops. A run ends when no unit
 is ready; a fetch still pending then means the run stalled.
 
-Batched values stay in their stacks. After a batched segment, the stacks of
-the members that something outside it reads (`exposed`) stay on a group
-record, a dict from node id to stack, and each frame keeps the record and
-its row in two slots after its node slots (`CompiledBody.row_slot`); the
-member's own slot stays pending. A call's argument or output copied from a
+Batched values stay in their stacks. Within a batched pass, a stack lives
+until the segment's last reader of it has run: finalize plans, per member,
+which stacks the pass drops after it (`CompiledBody.drops`), so a wide group
+holds only the stacks that its remaining members still read. After a
+batched segment, the stacks of the members that something outside it reads
+(`exposed`) stay on a group record, a dict from node id to stack, and each
+frame keeps the record and its row in two slots after its node slots
+(`CompiledBody.row_slot`); the member's own slot stays pending. A call's argument or output copied from a
 stack keeps that stack and row the same way, and so does a gradient frame's
 forward value: its slot pair gets the forward frame's holder and row. So a
 batched consumer reads such a value as one slice or index per run of frames
@@ -545,7 +548,8 @@ class _Group:
 
     def __init__(self):
         # node id -> its k-stack (2-D if one value serves every frame): the
-        # segment's results so far and the operands gathered for it
+        # segment's results so far and the operands gathered for it, each
+        # until its last reader in the segment has run (exposed members stay)
         self.stacks: dict = {}
         self.rows: dict = {}  # (body, row slot) -> `_where` the frames' rows lie
         self.tables: dict = {}  # node id -> the `Tables` a batched `gather_row` reads
@@ -866,10 +870,14 @@ def _sink_add(state: _RunState, body, nid: int, sink, frames, grp):
             raise _failed(exc, f, nid) from exc
 
 
-def _run_members(state: _RunState, body, steps, frames, grp):
-    """Compute a segment's members in order; the first that fails raises."""
-    for m in steps:
+def _run_members(state: _RunState, body, u: int, frames, grp):
+    """Compute segment u's members in order; the first that fails raises. A
+    batched pass drops each stack after its last reader (`CompiledBody.drops`)."""
+    for m, drop in zip(body.steps[u], body.drops[u]):
         _compute(state, body, m, frames, grp)
+        if grp is not None:
+            for i in drop:
+                grp.stacks.pop(i, None)
 
 
 def _run_compiled(state: _RunState, body, u: int, seg, frames):
@@ -893,7 +901,7 @@ def _run_compiled(state: _RunState, body, u: int, seg, frames):
             for sink, v in adds:
                 sink_put(sink, top, v, own)
     except Exception as exc:  # noqa: BLE001 - the member loop names the member and frame
-        _run_members(state, body, body.steps[u], frames, None)
+        _run_members(state, body, u, frames, None)
         raise _failed(exc, frames[0], seg.members[0]) from exc
 
 
@@ -925,14 +933,14 @@ def _round(state: _RunState):
             state.peak = max(state.peak, len(frames))
         if len(frames) >= _BATCH_MIN:
             grp = _Group()
-            _run_members(state, body, steps, frames, grp)
+            _run_members(state, body, u, frames, grp)
             _keep(state, body, u, frames, grp)
         else:
             seg = _compiled(body, u)
             if seg:
                 _run_compiled(state, body, u, seg, frames)
             else:
-                _run_members(state, body, steps, frames, None)
+                _run_members(state, body, u, frames, None)
         _settle(state, body, u, frames)
 
 

@@ -915,6 +915,7 @@ class CompiledBody:
         "unit_of",
         "unit_nodes",
         "steps",
+        "drops",
         "sole_dependents",
         "joint_dependents",
         "pending0",
@@ -1138,6 +1139,25 @@ class CompiledBody:
         # per unit: its steps; and its `kernels.CompiledSegment`, made when a
         # group under the executor's batching cut-over first runs it
         self.steps = [s and tuple(s) for s in steps]
+        # Per unit, aligned with its steps: the ids a batched pass drops from
+        # its stacks once that step has run. Each is a member or an operand
+        # gathered from another unit, dropped at its last reader in the
+        # segment (a member's inputs, a sink's `ids`), or right after it runs
+        # if nothing there reads it. Exposed members stay for the record.
+        self.drops = [None] * len(members)
+        for u, ms in enumerate(steps):
+            if ms is None:
+                continue
+            later = set(self.unit_exposed[u])  # ids a later step reads, or the record keeps
+            plan = []
+            for m in reversed(ms):
+                drop = []
+                for i in (m, *self.inputs[m]) if sinks[m] is None else sinks[m].ids:
+                    if i not in later:
+                        later.add(i)
+                        drop.append(i)
+                plan.append(tuple(drop))
+            self.drops[u] = tuple(reversed(plan))
         self.compiled = [None] * len(members)
         # per call node: its `_CallSite` per branch, in `_target_names` order
         # (0 then, 1 else; an invoke has branch 0 only), set by

@@ -1490,6 +1490,130 @@ class TestCache:
         assert alive[0] == 0
 
 
+def _balanced_lstm_runs():
+    """TreeLSTM d=4's forward and gradient graphs with their fetches, its
+    parameters, and ten balanced 16-leaf trees' feeds: every group holds 10
+    frames or more, so every segment runs batched."""
+    cfg = ModelConfig("treelstm", d=4, vocab=12, classes=2)
+    model = build_recursive(cfg)
+    g, gm = differentiate(model.graph, model.loss, list(model.params.values()))
+    rng = np.random.default_rng(7)
+    feeds = [make_feeds(model, generate_synthetic("balanced", 16, 10, 2, rng)) for _ in range(10)]
+    runs = [(model.graph, [model.loss]), (g, [gm.loss] + [gm.param_grads[n] for n in gm.param_order])]
+    return runs, init_params(cfg, seed=3, scale=0.3), feeds
+
+
+def _run_values(runs, params, feeds) -> list:
+    return [
+        _dense(v)
+        for g, fetches in runs
+        for r in run_batch(g, feeds, fetches, RunOptions(), params)
+        for v in r.values
+    ]
+
+
+def _drop_nothing(monkeypatch, runs):
+    """Make every batched pass of the graphs in runs keep all its stacks."""
+    for g, _ in runs:
+        for body in [g.top, *g.bodies.values()]:
+            monkeypatch.setattr(body, "drops", [d and tuple(() for _ in d) for d in body.drops])
+
+
+class TestStackLifetimes:
+    """A batched pass drops each stack from its `_Group` once the segment's
+    last reader of it has run (`CompiledBody.drops`)."""
+
+    def test_a_pass_ends_holding_only_its_exposed_members(self, monkeypatch):
+        # With the cycle collector off, a per-frame stack the pass dropped is
+        # gone when the pass ends, unless a value still held is a view of it:
+        # a kept stack's slice, or a row a per-frame kernel read. The results
+        # match a run whose passes drop nothing, bit for bit.
+        runs, params, feeds = _balanced_lstm_runs()
+        passes, leaked, dropped = [], [], [0]
+
+        class Stacks(dict):
+            def __init__(self):
+                super().__init__()
+                self.refs = []  # (node id, weak reference) per per-frame stack
+
+            def __setitem__(self, i, a):
+                if isinstance(a, np.ndarray) and a.ndim == 3:
+                    self.refs.append((i, weakref.ref(a)))
+                super().__setitem__(i, a)
+
+        class Group(executor._Group):
+            def __init__(self):
+                super().__init__()
+                self.stacks = Stacks()
+
+        keep = executor._keep
+
+        def spy_keep(state, body, u, frames, grp):
+            passes.append((len(frames), set(grp.stacks) <= set(body.unit_exposed[u])))
+            held = [*grp.stacks.values()]
+            held += [x for f in frames for x in f.values if type(x) is np.ndarray]
+            bases = set()
+            for x in held:
+                while x is not None:
+                    bases.add(id(x))
+                    x = x.base
+            for i, ref in grp.stacks.refs:
+                if i not in grp.stacks:
+                    dropped[0] += 1
+                    if ref() is not None and id(ref()) not in bases:
+                        leaked.append((body.label, u, i))
+            keep(state, body, u, frames, grp)
+
+        monkeypatch.setattr(executor, "_Group", Group)
+        monkeypatch.setattr(executor, "_keep", spy_keep)
+        gc.disable()
+        try:
+            got = _run_values(runs, params, feeds)
+        finally:
+            gc.enable()
+        assert passes and all(k >= 10 and only_exposed for k, only_exposed in passes), passes
+        assert dropped[0] > 100
+        assert not leaked, leaked
+        _drop_nothing(monkeypatch, runs)
+        want = _run_values(runs, params, feeds)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+    def test_per_frame_fallback_after_drops_finds_its_inputs(self, monkeypatch):
+        # Internal's h = o * tanh(c): the tanh runs late in its segment, after
+        # the pass has dropped earlier members' stacks. When its batched
+        # kernel raises, the per-frame kernel runs for each frame on rows of
+        # the stacks it reads, and the results match a run whose passes drop
+        # nothing, bit for bit.
+        runs, params, feeds = _balanced_lstm_runs()
+        calls = Counter()
+
+        def broken(*ops):
+            raise ValueError("no batched tanh")
+
+        for g, _ in runs:
+            body = g.bodies["Internal"]
+            nid = max(
+                i for i, k in enumerate(body.kinds) if k == "unary" and body.payloads[i] == "tanh"
+            )
+            u = body.unit_of[nid]
+            assert any(body.drops[u][: body.steps[u].index(nid)])
+            kernel = body.kernels[nid]
+
+            def counted(vals, kernel=kernel):
+                calls["per-frame"] += 1
+                return kernel(vals)
+
+            body.kernels[nid], body.batched[nid] = counted, broken
+        got = _run_values(runs, params, feeds)
+        assert calls["per-frame"] == 2 * 10 * 15  # each run's Internal frames
+        _drop_nothing(monkeypatch, runs)
+        want = _run_values(runs, params, feeds)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 class TestTrace:
     def test_trace_rows_and_keys(self):
         g, x, y = build_countdown()

@@ -22,10 +22,16 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ["train_parity.py", "--train-count", "40", "--val-count", "10", "--leaves", "4",
      "--hidden", "4", "--max-epochs", "1", "--batch", "10", "--target", "0"],
     ["profile_step.py", "--leaves", "4", "--batch", "2", "--top", "3"],
+    pytest.param(
+        ["profile_step.py", "--leaves", "4", "--batch", "2", "--hidden", "4", "--memory"],
+        id="profile_step.py-memory",
+    ),
 ], ids=lambda argv: argv[0])
 def test_script_exits_zero(argv, tmp_path):
     out = _run_script(argv, tmp_path)
     assert out.returncode == 0, out.stderr
+    if "--memory" in argv:
+        assert re.search(r"d=4, 1 thread: .* peak traced memory \d+\.\d MB$", out.stdout), out.stdout
 
 
 @pytest.mark.parametrize("flag", ["--trials", "--hidden", "--max-leaves"])
@@ -33,6 +39,23 @@ def test_grad_check_count_below_one_is_usage_error(flag, tmp_path):
     out = _run_script(["run_grad_check.py", "--kinds", "treernn", flag, "0"], tmp_path)
     assert out.returncode == 2, out.stderr
     assert flag in out.stderr
+
+
+@pytest.mark.parametrize("script, flag, value", [
+    *[("profile_step.py", f, "0") for f in ("--top", "--leaves", "--batch", "--hidden")],
+    ("profile_step.py", "--top", "-1"),  # a negative count once sliced off the last rows
+    *[
+        ("train_parity.py", f, "0")
+        for f in (
+            "--train-count", "--val-count", "--leaves", "--hidden", "--vocab", "--batch",
+            "--threads", "--max-epochs",
+        )
+    ],
+])
+def test_count_below_one_is_usage_error(script, flag, value, tmp_path):
+    out = _run_script([script, f"{flag}={value}"], tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert flag in out.stderr and "must be >= 1" in out.stderr
 
 
 def test_result_hashes_prints_one_line_per_check(tmp_path):
